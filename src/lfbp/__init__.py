@@ -6,7 +6,8 @@ K_n). This package computes those laws exactly, classifies the process
 through the convergence parameter R of its mean kernel, simulates it three
 structurally different ways, and verifies the regime limit theorems.
 
-Layers, bottom up: ``typespace`` (triplets and type points), ``spectral``
+Layers, bottom up: ``measures`` (vector and hypoexponential-mixture
+measures, probes), ``typespace`` (triplets and type points), ``spectral``
 (life-length transform, R, eigenpair), ``evolution`` (exact generation
 laws), ``simulate`` (direct / embedded-population / contour samplers),
 ``stats`` (renewal utility, limit verifiers, test statistics), ``cli``.

@@ -170,15 +170,8 @@ def cmd_distribution(args) -> int:
     t = parse_triplet(args.triplet)
     x = _parse_point(args.x, t)
     law = evolution.evolve(t, args.n)
-    probes = ["const:0.5", "tilt:1.0"]
-    functionals = {}
-    for spec in probes:
-        p = stats.probe(spec)
-        if t.family == FAMILY_FINITE:
-            hv = p.fn(np.arange(t.d))
-            functionals[spec] = law.functional(x, hv)
-        else:
-            functionals[spec] = law.functional(x, p.fn, breaks=p.breaks)
+    functionals = {spec: law.functional(x, stats.probe(spec))
+                   for spec in ("const:0.5", "tilt:1.0")}
     report = {"schema": JSON_SCHEMA, "config": _config(args, t),
               "n": args.n, "x": x, "m_n": law.m_n,
               "survival": law.survival(x),
@@ -268,9 +261,7 @@ def cmd_yaglom(args) -> int:
         raise RegimeError(f"yaglom needs a critical triplet, got "
                           f"{summary.criticality}")
     w = args.w or "const"
-    p = stats.probe(w)
-    nu = spectral.NuMeasure(t, summary.R)
-    denom = args.n * stats.nu_probe(nu, p)
+    denom = args.n * stats.probe(w).apply(spectral.NuMeasure(t, summary.R))
     vals = stats.yaglom_sample(t, args.n, args.reps, args.seed, w=w,
                                workers=args.workers)
     cond = vals[vals > 0.0] / denom

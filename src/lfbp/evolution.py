@@ -11,187 +11,34 @@ so P_x(Z_n > 0) = K_n(x, E) = M^n(x, E)/(1+m_n) and, given survival, Z_n is
 1 + geometric(m_n) with the marked individual drawn from K_n(x, .)/K_n(x, E)
 and the others i.i.d. gamma_n.
 
-gamma_n is kept as the k-mixture the defining sum suggests: weight
-w_k = m g_k / m_n on the normalized measure G_k(.)/g_k, where
-G_k(.) = integral M^k(y, .) gamma(dy) and g_k = G_k(E). For the continuous
-family each G_k further splits exactly over the number r of marked steps
-since the last restart,
+Finite family: gamma_n, M^n(x, .) and K_n(x, .) are ``VectorMeasure`` rows.
+Continuous family: G_k(.) = integral M^k(y, .) gamma(dy) splits exactly
+over the number r of marked steps since the last restart,
 
     G_k = sum_{r<=k} h_{k-r} Q_r,    Q_r(.) = integral K^r(y, .) gamma(dy),
 
-with h the renewal expansion of 1/(1 - m f(s)) and Q_r/d_r a hypoexponential
-law, so sampling and integration stay exact instead of importance-weighted.
-Collapsing over k gives gamma_n = sum_r W_r Q_r/d_r with
-W_r proportional to H_{n-1-r} d_r, H_t = sum_{j<=t} h_j.
+with h the renewal expansion of 1/(1 - m f(s)) and Q_r/d_r the
+hypoexponential law Exp(mu+r) + chain(lambda, r). Collapsing over k, gamma_n
+is the ``MixtureMeasure`` sum_r W_r Q_r/d_r with W_r proportional to
+H_{n-1-r} d_r, H_t = sum_{j<=t} h_j. M^n(x, .) adds the no-restart term
+c_n e^{-nx} Law(x + chain(lambda, n)) to the same components, and K_n(x, .)
+is the signed mixture over [chain at x, Q_0..Q_{n-1}], so sampling and
+integration stay exact instead of importance-weighted.
 """
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
 from . import hypoexp
+from .measures import MixtureMeasure, Probe, VectorMeasure, as_finite_vector
 from .recursions import g_sequence, h_sequence
 from .streams import geometric
-from .typespace import (FAMILY_EXP, FAMILY_FINITE, ExpFamilyTriplet,
-                        FiniteTriplet, GenerationSnapshot, LFTriplet,
-                        as_array_callable, as_finite_vector)
+from .typespace import (FAMILY_FINITE, ExpFamilyTriplet, FiniteTriplet,
+                        GenerationSnapshot, LFTriplet)
 
-_SS = 512 * math.log(2.0)  # log of the rescale factor for mass arithmetic
 _SCALE_TRIGGER = 2.0 ** 512
 
-
-# ---------------------------------------------------------------------------
-# gamma_n
-# ---------------------------------------------------------------------------
-
-class FiniteGammaN:
-    """gamma_n for the finite family: exact vector plus the k-mixture view."""
-
-    def __init__(self, weights_k: np.ndarray, components_k: list[np.ndarray]):
-        self.weights_k = weights_k
-        self.components_k = components_k
-        self.vector = sum(w * c for w, c in zip(weights_k, components_k))
-
-    def mass(self) -> float:
-        return float(self.vector.sum())
-
-    def integrate(self, g) -> float:
-        gv = as_finite_vector(g, len(self.vector))
-        return float(self.vector @ gv)
-
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        p = self.vector / self.vector.sum()
-        out = rng.choice(len(p), p=p, size=size)
-        return int(out) if size is None else out.astype(np.int64)
-
-
-class ExpGammaN:
-    """gamma_n for the continuous family: exact hypoexponential mixture.
-
-    Exposes both the k-mixture (weights_k, component_sampler) and the
-    collapsed r-mixture used for fast exact evaluation.
-    """
-
-    def __init__(self, triplet: ExpFamilyTriplet, n: int, d: np.ndarray,
-                 g: np.ndarray, h: np.ndarray):
-        self.triplet = triplet
-        self.n = n
-        gsum = g[:n].sum()
-        self.weights_k = (g[:n] / gsum).copy()
-        H = np.cumsum(h[:n])
-        raw = H[::-1] * d[:n]          # W_r ~ H_{n-1-r} d_r, r = 0..n-1
-        self.r_weights = raw / raw.sum()
-        self._d = d
-        self._g = g
-        self._h = h
-        self.components = [self._component(r) for r in range(n)]
-
-    def _component(self, r: int) -> hypoexp.Hypoexp:
-        if r == 0:
-            return hypoexp.Hypoexp((self.triplet.mu,))
-        return hypoexp.gamma_chain_law(self.triplet.lam, self.triplet.mu, r)
-
-    def mass(self) -> float:
-        return float(self.r_weights.sum())
-
-    def pdf(self, y):
-        y = np.asarray(y, dtype=float)
-        out = sum(w * comp.pdf(y) for w, comp in zip(self.r_weights, self.components))
-        return out
-
-    def cdf(self, y) -> float:
-        return float(sum(w * comp.cdf(y)
-                         for w, comp in zip(self.r_weights, self.components)))
-
-    def integrate(self, g, breaks=()) -> float:
-        gv = as_array_callable(g)
-        return float(sum(w * comp.expect(gv, breaks=breaks)
-                         for w, comp in zip(self.r_weights, self.components)))
-
-    def integrate_exp_tilt(self, theta: float) -> float:
-        """Exact integral of exp(-theta y) gamma_n(dy) via component MGFs."""
-        return float(sum(w * comp.mgf_neg(theta)
-                         for w, comp in zip(self.r_weights, self.components)))
-
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        if size is None:
-            r = int(rng.choice(len(self.r_weights), p=self.r_weights))
-            return float(self.components[r].sample(rng))
-        rs = rng.choice(len(self.r_weights), p=self.r_weights, size=size)
-        out = np.empty(size)
-        for i, r in enumerate(rs):
-            out[i] = self.components[r].sample(rng)
-        return out
-
-    def component_sampler(self, k: int, rng: np.random.Generator) -> float:
-        """One draw from the normalized k-th mixture component G_k / g_k."""
-        r_w = self._h[k::-1] * self._d[: k + 1]
-        r = int(rng.choice(k + 1, p=r_w / r_w.sum()))
-        return float(self._component(r).sample(rng))
-
-
-# ---------------------------------------------------------------------------
-# M^n(x, .) as an exact mixture (continuous family)
-# ---------------------------------------------------------------------------
-
-class ExpMeanPower:
-    """M^n(x, .) for the exp family: kernel-power term plus restart terms.
-
-    M^n(x, .) = c_n e^{-nx} L(x + S_n) + sum_{r<n} B_r(x) d_r Qhat_r(.),
-    B_r(x) = m sum_{i=1}^{n-r} c_i e^{-ix} h_{n-i-r}; total mass M^n(x, E).
-    """
-
-    def __init__(self, triplet: ExpFamilyTriplet, n: int, x: float,
-                 c: np.ndarray, d: np.ndarray, h: np.ndarray,
-                 gamma_components: list[hypoexp.Hypoexp]):
-        self.x = x
-        self.n = n
-        e = c[: n + 1] * np.exp(-np.arange(n + 1) * x)
-        conv = np.convolve(e[1:], h[:n])
-        B = triplet.m * conv[n - 1 :: -1][:n]   # B_r at index r
-        self.chain = hypoexp.chain_law(triplet.lam, n)
-        self.chain_weight = float(e[n])
-        self.r_masses = B * d[:n]
-        self.components = gamma_components
-        self.total = float(self.chain_weight + self.r_masses.sum())
-
-    def pdf(self, y):
-        y = np.asarray(y, dtype=float)
-        out = self.chain_weight * self.chain.pdf(y - self.x)
-        for w, comp in zip(self.r_masses, self.components):
-            out = out + w * comp.pdf(y)
-        return out
-
-    def integrate(self, g, breaks=()) -> float:
-        """Unnormalized integral of g against M^n(x, .)."""
-        gv = as_array_callable(g)
-        acc = self.chain_weight * self.chain.expect(gv, shift=self.x, breaks=breaks)
-        acc += sum(w * comp.expect(gv, breaks=breaks)
-                   for w, comp in zip(self.r_masses, self.components))
-        return float(acc)
-
-    def integrate_exp_tilt(self, theta: float) -> float:
-        """Exact integral of exp(-theta y) against M^n(x, .) via MGFs."""
-        acc = self.chain_weight * math.exp(-theta * self.x) * \
-            self.chain.mgf_neg(theta)
-        acc += sum(w * comp.mgf_neg(theta)
-                   for w, comp in zip(self.r_masses, self.components))
-        return float(acc)
-
-    def sample(self, rng: np.random.Generator) -> float:
-        """One draw from the normalized measure M^n(x, .)/M^n(x, E)."""
-        p = np.concatenate(([self.chain_weight], self.r_masses)) / self.total
-        j = int(rng.choice(len(p), p=p))
-        if j == 0:
-            return self.x + float(self.chain.sample(rng))
-        return float(self.components[j - 1].sample(rng))
-
-
-# ---------------------------------------------------------------------------
-# the evolved law
-# ---------------------------------------------------------------------------
 
 class GenerationLaw:
     """Exact law of generation n: survival, K_n integration, sampling."""
@@ -203,58 +50,61 @@ class GenerationLaw:
         self.n = n
         if triplet.family == FAMILY_FINITE:
             self._init_finite(triplet, n)
-        elif triplet.family == FAMILY_EXP:
-            self._init_exp(triplet, n)
         else:
-            raise ValueError("evolve supports the finite and exp families")
+            self._init_exp(triplet, n)
 
     # -- construction ----------------------------------------------------------
 
     def _init_finite(self, t: FiniteTriplet, n: int):
         M = t.M
-        d = t.d
         rows = [t.gamma_vector.copy()]           # gamma M^k, k = 0..n-1
         for _ in range(n - 1):
             rows.append(rows[-1] @ M)
         gks = np.array([r.sum() for r in rows])  # g_k
         self.m_n = float(t.m * gks.sum())
-        self.gamma_n = FiniteGammaN(t.m * gks / self.m_n,
-                                    [r / s for r, s in zip(rows, gks)])
-        Mn = np.linalg.matrix_power(M, n)
-        self._Mn = Mn
-        self._mn_mass = Mn @ np.ones(d)
+        self.gamma_n = VectorMeasure(sum(w * (r / g) for w, r, g in
+                                         zip(t.m * gks / self.m_n, rows, gks)))
+        self._Mn = np.linalg.matrix_power(M, n)
         frac = self.m_n / (1.0 + self.m_n)
-        self.Kn = Mn - frac * np.outer(self._mn_mass, self.gamma_n.vector)
-        self._survival = self._mn_mass / (1.0 + self.m_n)
+        self.Kn = self._Mn - frac * np.outer(self._Mn @ np.ones(t.d),
+                                             self.gamma_n.vector)
 
     def _init_exp(self, t: ExpFamilyTriplet, n: int):
         self._c = t.c_sequence(n)
         self._d = t.d_sequence(n)
-        self._g = g_sequence(self._d[:n], t.m)
         self._h = h_sequence(self._d[:n], t.m)
-        self.m_n = float(t.m * self._g.sum())
-        self.gamma_n = ExpGammaN(t, n, self._d, self._g, self._h)
-        self._mn_cache: dict[float, ExpMeanPower] = {}
+        self.m_n = float(t.m * g_sequence(self._d[:n], t.m).sum())
+        raw = np.cumsum(self._h)[::-1] * self._d[:n]  # W_r ~ H_{n-1-r} d_r
+        self.gamma_n = MixtureMeasure(
+            raw / raw.sum(),
+            [hypoexp.gamma_chain_law(t.lam, t.mu, r) for r in range(n)])
+        self._mn_cache: dict[float, MixtureMeasure] = {}
 
     # -- mean kernel power -------------------------------------------------------
 
     def mean_power(self, x):
-        """M^n(x, .) as an integrable/sampleable object (continuous family)."""
+        """M^n(x, .) as a measure.
+
+        Continuous family: M^n(x, .) = c_n e^{-nx} Law(x + chain(lambda, n))
+        + sum_{r<n} B_r(x) Q_r, B_r(x) = m sum_{i=1}^{n-r} c_i e^{-ix} h_{n-i-r}.
+        """
         t = self.triplet
-        if t.family != FAMILY_EXP:
-            raise ValueError("mean_power mixtures exist for the exp family")
-        x = float(t.validate_point(x))
+        x = t.validate_point(x)
+        if t.family == FAMILY_FINITE:
+            return VectorMeasure(self._Mn[x])
         if x not in self._mn_cache:
-            self._mn_cache[x] = ExpMeanPower(t, self.n, x, self._c, self._d,
-                                             self._h, self.gamma_n.components)
+            n = self.n
+            e = self._c * np.exp(-np.arange(n + 1) * x)
+            B = t.m * np.convolve(e[1:], self._h)[n - 1::-1][:n]
+            self._mn_cache[x] = MixtureMeasure(
+                np.concatenate(([e[n]], B * self._d[:n])),
+                [hypoexp.chain_law(t.lam, n)] + self.gamma_n.components,
+                np.concatenate(([x], np.zeros(n))))
         return self._mn_cache[x]
 
     def mn_mass(self, x) -> float:
         """M^n(x, E) = expected generation size from ancestor type x."""
-        t = self.triplet
-        if t.family == FAMILY_FINITE:
-            return float(self._mn_mass[t.validate_point(x)])
-        return self.mean_power(x).total
+        return self.mean_power(x).mass()
 
     def survival(self, x) -> float:
         """P_x(Z_n > 0) = M^n(x, E)/(1 + m_n)."""
@@ -262,36 +112,32 @@ class GenerationLaw:
 
     # -- K_n ---------------------------------------------------------------------
 
+    def kn_measure(self, x):
+        """K_n(x, .) = M^n(x, .) - (m_n/(1+m_n)) M^n(x, E) gamma_n as one measure.
+
+        Continuous family: the signed mixture over [chain at x, Q_0..Q_{n-1}].
+        """
+        if self.triplet.family == FAMILY_FINITE:
+            return VectorMeasure(self.Kn[self.triplet.validate_point(x)])
+        mp_ = self.mean_power(x)
+        frac = self.m_n / (1.0 + self.m_n)
+        return mp_ - (frac * mp_.mass()) * self.gamma_n
+
     def kn_mass(self, x) -> float:
         """K_n(x, E); equals survival(x) because K_n keeps mass M^n(x, E)/(1 + m_n)."""
         return self.survival(x)
 
     def kn_integrate(self, x, g, breaks=()) -> float:
         """Integral of g against the defective measure K_n(x, .)."""
-        t = self.triplet
-        if t.family == FAMILY_FINITE:
-            gv = as_finite_vector(g, t.d)
-            return float(self.Kn[t.validate_point(x)] @ gv)
-        frac = self.m_n / (1.0 + self.m_n)
-        mp_ = self.mean_power(x)
-        return mp_.integrate(g, breaks=breaks) - frac * mp_.total * \
-            self.gamma_n.integrate(g, breaks=breaks)
+        return self.kn_measure(x).integrate(g, breaks=breaks)
 
     def kn_tilt(self, x, theta: float) -> float:
         """Integral of exp(-theta y) against K_n(x, .), quadrature-free."""
-        t = self.triplet
-        if t.family == FAMILY_FINITE:
-            return self.kn_integrate(x, np.exp(-theta * np.arange(t.d)))
-        frac = self.m_n / (1.0 + self.m_n)
-        mp_ = self.mean_power(x)
-        return mp_.integrate_exp_tilt(theta) - frac * mp_.total * \
-            self.gamma_n.integrate_exp_tilt(theta)
+        return self.kn_measure(x).integrate_exp_tilt(theta)
 
     def kn_pdf(self, x, y):
         """Density of K_n(x, .) at y (continuous family)."""
-        mp_ = self.mean_power(x)
-        frac = self.m_n / (1.0 + self.m_n)
-        return np.maximum(mp_.pdf(y) - frac * mp_.total * self.gamma_n.pdf(y), 0.0)
+        return np.maximum(self.kn_measure(x).pdf(y), 0.0)
 
     def marked_sample(self, x, rng: np.random.Generator):
         """Draw from the normalized marked law K_n(x, .)/K_n(x, E).
@@ -309,12 +155,11 @@ class GenerationLaw:
                 raise ValueError("K_n(x, .) has no mass at this x")
             return int(rng.choice(t.d, p=row / tot))
         mp_ = self.mean_power(x)
-        frac = self.m_n / (1.0 + self.m_n)
+        kn = self.kn_measure(x)
         cap = int(200 * (1.0 + self.m_n))
         for _ in range(cap):
             y = mp_.sample(rng)
-            accept = 1.0 - frac * mp_.total * float(self.gamma_n.pdf(y)) / \
-                float(mp_.pdf(y))
+            accept = float(kn.pdf(y)) / float(mp_.pdf(y))
             if rng.random() < min(max(accept, 0.0), 1.0):
                 return y
         raise RuntimeError("rejection sampler exceeded its trial budget")
@@ -322,17 +167,16 @@ class GenerationLaw:
     # -- functionals and conditional laws -----------------------------------------
 
     def functional(self, x, h, breaks=()) -> float:
-        """F_n(x, h) = E_x prod_{i in gen n} h(type_i), h ranging in [0, 1]."""
-        if self.triplet.family == FAMILY_EXP:
-            gh = self.gamma_n.integrate(h, breaks=breaks)
-        else:
-            gh = self.gamma_n.integrate(h)
-        denom = 1.0 + self.m_n - self.m_n * gh
+        """F_n(x, h) = E_x prod_{i in gen n} h(type_i), h ranging in [0, 1].
+
+        ``h`` is a Probe, a callable, or (finite family) a length-d vector.
+        """
+        p = h if isinstance(h, Probe) else Probe("h", h, tuple(breaks))
+        denom = 1.0 + self.m_n - self.m_n * p.apply(self.gamma_n)
         if denom < 1.0 - 1e-9:
             raise AssertionError(
                 f"functional denominator {denom} < 1; h must map into [0,1]")
-        kh = self.kn_integrate(x, h, breaks=breaks)
-        return 1.0 - self.kn_mass(x) + kh / denom
+        return 1.0 - self.kn_mass(x) + p.apply(self.kn_measure(x)) / denom
 
     def pmf(self, x, k: int) -> float:
         """P_x(Z_n = k)."""
@@ -372,6 +216,8 @@ def survival_prob(triplet: LFTriplet, x, n: int) -> float:
     Masses are tracked against a shared rescaling offset, so supercritical
     growth rho^n never overflows; the result is always a plain probability.
     """
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if n == 0:
         return 1.0
     t = triplet
@@ -390,9 +236,7 @@ def survival_prob(triplet: LFTriplet, x, n: int) -> float:
                 inv_scale /= _SCALE_TRIGGER
         w = M @ w
         return float(w[x] / (inv_scale + t.m * acc))
-    if t.family == FAMILY_EXP:
-        return _exp_survival_scaled(t, float(t.validate_point(x)), n)
-    raise ValueError("survival_prob supports the finite and exp families")
+    return _exp_survival_scaled(t, float(t.validate_point(x)), n)
 
 
 def _exp_survival_scaled(t: ExpFamilyTriplet, x: float, n: int) -> float:

@@ -41,13 +41,3 @@ def h_sequence(d: np.ndarray, m: float) -> np.ndarray:
         h[j] = acc
     return h
 
-
-def check_g_h_consistency(d: np.ndarray, m: float) -> float:
-    """Max |g_j - sum_r h_{j-r} d_r|; the two expansions must agree."""
-    g = g_sequence(d, m)
-    h = h_sequence(d, m)
-    worst = 0.0
-    for j in range(len(d)):
-        s = sum(h[j - r] * d[r] for r in range(j + 1))
-        worst = max(worst, abs(g[j] - s) / max(1.0, abs(g[j])))
-    return worst

@@ -23,15 +23,15 @@ results do not depend on worker count or scheduling.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import PopulationCapError, WalkCapError
 from .spectral import LifeLengthLaw
 from .streams import geometric, stream
-from .typespace import (FAMILY_EXP, FAMILY_FINITE, ExpFamilyTriplet,
-                        FiniteTriplet, GenerationSnapshot, LFTriplet)
+from .typespace import (FAMILY_FINITE, ExpFamilyTriplet, FiniteTriplet,
+                        GenerationSnapshot, LFTriplet)
 
 DEFAULT_CAP = 10_000_000
 _WALK_CAP = 100_000_000
@@ -98,9 +98,7 @@ def _bgw_step_exp(t: ExpFamilyTriplet, cur: np.ndarray, rng, cap: int,
 def _bgw_step(triplet: LFTriplet, cur, rng, cap, gen):
     if triplet.family == FAMILY_FINITE:
         return _bgw_step_finite(triplet, cur, rng, cap, gen)
-    if triplet.family == FAMILY_EXP:
-        return _bgw_step_exp(triplet, cur, rng, cap, gen)
-    raise ValueError("bulk simulation supports the finite and exp families")
+    return _bgw_step_exp(triplet, cur, rng, cap, gen)
 
 
 def simulate_bgw(triplet: LFTriplet, start, n: int, rng: np.random.Generator,
@@ -152,23 +150,8 @@ def sample_life_length(law: LifeLengthLaw, rng: np.random.Generator,
 # embedded CMJ population
 # ---------------------------------------------------------------------------
 
-@dataclass
-class CMJIndividual:
-    """One maximal marked lineage: birth time, life length, litter sizes.
-
-    ``litters[a-1]`` is the litter dropped at age a (a = 1..L-1). Life
-    lengths are truncated at the horizon: an individual born at b records at
-    most n - b + 1, which leaves every alive-at-or-before-n event exact.
-    """
-
-    birth_time: int
-    life_length: int
-    litters: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=np.int64))
-
-
 def simulate_cmj(triplet: LFTriplet, n: int, rng: np.random.Generator,
-                 cap: int = DEFAULT_CAP, return_individuals: bool = False,
-                 law: LifeLengthLaw | None = None):
+                 cap: int = DEFAULT_CAP, law: LifeLengthLaw | None = None):
     """Embedded population; returns alive counts at times 0..n.
 
     Seeds one individual at time 0. Each individual draws L from the life
@@ -178,9 +161,6 @@ def simulate_cmj(triplet: LFTriplet, n: int, rng: np.random.Generator,
     original drawing stamps the birth one step earlier (at the parent's
     reproduction) and adds the newborn a step later, which shifts labels but
     not the law of the counts.
-
-    With ``return_individuals`` the CMJIndividual records are returned as a
-    second value.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -189,7 +169,6 @@ def simulate_cmj(triplet: LFTriplet, n: int, rng: np.random.Generator,
     m = triplet.m
     counts = np.zeros(n + 1, dtype=np.int64)
     queue = [0]                       # birth times, FIFO
-    individuals: list[CMJIndividual] = []
     born = 1
     head = 0
     while head < len(queue):
@@ -207,10 +186,6 @@ def simulate_cmj(triplet: LFTriplet, n: int, rng: np.random.Generator,
                 born += kids
                 if born > cap:
                     raise PopulationCapError(b + age, born, cap)
-        if return_individuals:
-            individuals.append(CMJIndividual(b, L, litters))
-    if return_individuals:
-        return counts, individuals
     return counts
 
 
@@ -218,16 +193,8 @@ def simulate_cmj(triplet: LFTriplet, n: int, rng: np.random.Generator,
 # contour walk
 # ---------------------------------------------------------------------------
 
-@dataclass
-class ContourWalk:
-    """Recorded walk: up-jump sizes as positive entries, unit downs as -1."""
-
-    path: list[int]
-    count: int
-
-
 def simulate_contour(triplet: LFTriplet, n: int, rng: np.random.Generator,
-                     law: LifeLengthLaw | None = None, record: bool = False,
+                     law: LifeLengthLaw | None = None,
                      step_cap: int = _WALK_CAP):
     """Level-n excursion count of the contour walk; equals Z_n in law.
 
@@ -240,14 +207,11 @@ def simulate_contour(triplet: LFTriplet, n: int, rng: np.random.Generator,
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
-        return (1, ContourWalk([], 1)) if record else 1
+        return 1
     if law is None:
         law = LifeLengthLaw(triplet)
     p_up = triplet.m / (1.0 + triplet.m)
-    path: list[int] = []
     L = law.sample_capped(rng, n)
-    if record:
-        path.append(L)
     count = 1 if L - 1 >= n else 0
     h = min(L - 1, n)
     steps = 0
@@ -257,16 +221,12 @@ def simulate_contour(triplet: LFTriplet, n: int, rng: np.random.Generator,
             raise WalkCapError(steps, step_cap)
         if rng.random() < p_up:
             L = law.sample_capped(rng, n - h)
-            if record:
-                path.append(L)
             if h + L - 1 >= n:
                 count += 1
             h = min(h + L - 1, n)
         else:
             h -= 1
-            if record:
-                path.append(-1)
-    return (count, ContourWalk(path, count)) if record else count
+    return count
 
 
 # ---------------------------------------------------------------------------

@@ -22,11 +22,11 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import hypoexp, quadrature
+from . import hypoexp
 from .errors import BracketError
+from .measures import MixtureMeasure, VectorMeasure, as_array_callable
 from .typespace import (FAMILY_EXP, FAMILY_FINITE, ExpFamilyTriplet,
-                        FiniteTriplet, LFTriplet, as_array_callable,
-                        exp_family_kn_mass)
+                        LFTriplet, kernel_power_mass, mean_apply)
 
 SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
@@ -51,8 +51,6 @@ class LifeLengthLaw:
     """
 
     def __init__(self, triplet: LFTriplet):
-        if triplet.family not in (FAMILY_FINITE, FAMILY_EXP):
-            raise ValueError("life-length analytics require the finite or exp family")
         self.triplet = triplet
         self.family = triplet.family
         self._d = triplet.d_sequence(64)
@@ -141,7 +139,7 @@ class LifeLengthLaw:
         """Draw L by inverse transform on the precomputed tail.
 
         The tail is extended until d_N < tail_eps; the residual mass is
-        assigned to N + 1 and recorded in ``tail_remainder``.
+        assigned to N + 1.
         """
         n = 64
         d = self.tails(n)
@@ -151,7 +149,6 @@ class LifeLengthLaw:
                     f"life-length tail still {d[-1]:.3e} at n={n}; use sample_capped")
             n *= 2
             d = self.tails(n)
-        self.tail_remainder = float(d[-1])
         return self.sample_capped(rng, len(d) - 1, size=size)
 
     # -- internals ------------------------------------------------------------
@@ -376,93 +373,37 @@ def k_resolvent_mass(triplet: LFTriplet, x, s: float) -> float:
     return total
 
 
-def in_domain_of_resolvent(triplet: LFTriplet, x, s: float) -> bool:
-    """Whether x lies in E_s, judged by convergence of the mass series."""
-    return math.isfinite(k_resolvent_mass(triplet, x, s))
+def gamma_resolvent(triplet: LFTriplet, s: float):
+    """gamma K^(s) = sum_{r>=0} s^r integral K^r(y, .) gamma(dy), s below the radius.
 
-
-class NuMeasure:
-    """Left eigen-measure nu(A) = (m/(1+m)) integral of K^(R)(y, A) gamma(dy).
-
-    Finite family: an explicit vector. Exponential family: the series in
-    kernel powers gives an exact mixture over r >= 0 with weights
-    (m/(1+m)) R^r d_r and hypoexponential components Exp(mu+r) + sum of
-    Exp(lambda + k), truncated at a certified tail below 1e-15.
+    Finite family: the vector gamma^T (I - sK)^{-1}, solved on the
+    gamma-reachable class (zero elsewhere) so that an unreachable block with
+    a larger Perron root cannot make the solve singular. Exponential family:
+    the mixture with weights s^r d_r on Exp(mu+r) + chain(lambda, r),
+    truncated at a certified tail below 1e-16.
     """
+    if triplet.family == FAMILY_FINITE:
+        K, gam = triplet.K, triplet.gamma_vector
+        reach = _reachable_set(K, np.flatnonzero(gam > 0))
+        sub = K[np.ix_(reach, reach)]
+        out = np.zeros(K.shape[0])
+        out[reach] = np.linalg.solve(np.eye(len(reach)) - s * sub.T, gam[reach])
+        return VectorMeasure(out)
+    law = LifeLengthLaw(triplet)
+    n = 8
+    d = law.tails(n)
+    while d[-1] * s ** (len(d) - 1) > 1e-16 and n < 4096:
+        n *= 2
+        d = law.tails(n)
+    coef = d * np.power(s, np.arange(len(d)))
+    keep = int(np.max(np.flatnonzero(coef > 1e-17 * coef.sum()))) + 1
+    return MixtureMeasure(coef[:keep], [
+        hypoexp.gamma_chain_law(triplet.lam, triplet.mu, r) for r in range(keep)])
 
-    def __init__(self, triplet: LFTriplet, R: float):
-        self.triplet = triplet
-        self.R = R
-        m = triplet.m
-        if triplet.family == FAMILY_FINITE:
-            K, gam = triplet.K, triplet.gamma_vector
-            # nu lives on the gamma-reachable class; restricting keeps the
-            # resolvent solve nonsingular even if an unreachable block has a
-            # larger Perron root
-            reach = _reachable_set(K, np.flatnonzero(gam > 0))
-            sub = K[np.ix_(reach, reach)]
-            w = np.linalg.solve(np.eye(len(reach)) - R * sub.T, gam[reach])
-            self.vector = np.zeros(K.shape[0])
-            self.vector[reach] = (m / (1.0 + m)) * w
-            self.weights = None
-        else:
-            law = LifeLengthLaw(triplet)
-            d = law.tails(8)
-            n = 8
-            while d[-1] * R ** (len(d) - 1) > 1e-16 and n < 4096:
-                n *= 2
-                d = law.tails(n)
-            coef = (m / (1.0 + m)) * d * np.power(R, np.arange(len(d)))
-            keep = int(np.max(np.flatnonzero(coef > 1e-17 * coef.sum()))) + 1
-            self.weights = coef[:keep]
-            self.tail_mass = float(coef[keep:].sum())
-            self.components = [None] + [
-                hypoexp.gamma_chain_law(triplet.lam, triplet.mu, r)
-                for r in range(1, keep)
-            ]
-            self.components[0] = hypoexp.Hypoexp((triplet.mu,))
 
-    def mass(self) -> float:
-        if self.triplet.family == FAMILY_FINITE:
-            return float(self.vector.sum())
-        return float(self.weights.sum())
-
-    def integrate(self, g, breaks=()) -> float:
-        if self.triplet.family == FAMILY_FINITE:
-            from .typespace import as_finite_vector
-            gv = as_finite_vector(g, len(self.vector))
-            return float(self.vector @ gv)
-        gv = as_array_callable(g)
-        return float(sum(w * comp.expect(gv, breaks=breaks)
-                         for w, comp in zip(self.weights, self.components)))
-
-    def integrate_exp_tilt(self, theta: float) -> float:
-        """Exact integral of exp(-theta y) nu(dy) via component MGFs."""
-        if self.triplet.family == FAMILY_FINITE:
-            raise ValueError("exp tilt probes are for the continuous family")
-        return float(sum(w * comp.mgf_neg(theta)
-                         for w, comp in zip(self.weights, self.components)))
-
-    def cdf(self, t: float) -> float:
-        if self.triplet.family == FAMILY_FINITE:
-            raise ValueError("cdf applies to the continuous family")
-        return float(sum(w * comp.cdf(t)
-                         for w, comp in zip(self.weights, self.components)))
-
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        if self.triplet.family == FAMILY_FINITE:
-            p = self.vector / self.vector.sum()
-            out = rng.choice(len(p), p=p, size=size)
-            return int(out) if size is None else out.astype(np.int64)
-        p = self.weights / self.weights.sum()
-        if size is None:
-            r = int(rng.choice(len(p), p=p))
-            return float(self.components[r].sample(rng))
-        rs = rng.choice(len(p), p=p, size=size)
-        out = np.empty(size)
-        for i, r in enumerate(rs):
-            out[i] = self.components[r].sample(rng)
-        return out
+def NuMeasure(triplet: LFTriplet, R: float):
+    """Left eigen-measure nu(A) = (m/(1+m)) integral of K^(R)(y, A) gamma(dy)."""
+    return (triplet.m / (1.0 + triplet.m)) * gamma_resolvent(triplet, R)
 
 
 @dataclass
@@ -471,7 +412,7 @@ class Eigenpair:
 
     triplet: LFTriplet
     summary: SpectralSummary
-    nu: NuMeasure
+    nu: VectorMeasure | MixtureMeasure
     u_vector: np.ndarray | None = None  # finite family
 
     def u(self, x) -> float:
@@ -550,7 +491,6 @@ def eigen_residuals(triplet: LFTriplet, pair: Eigenpair, grid=None) -> dict:
         return {"right": right, "left": left}
     if grid is None:
         grid = [0.25, 0.5, 1.0, 2.0, 4.0]
-    from .typespace import mean_apply
     u = as_array_callable(pair.u)
     umax = max(abs(pair.u(x)) for x in grid)
     right = max(abs(mean_apply(t, u, x) - rho * pair.u(x)) for x in grid) / umax
@@ -571,12 +511,8 @@ def _nu_M_indicator(t: ExpFamilyTriplet, pair: Eigenpair, T: float) -> float:
         inside = np.exp(-y) * (1.0 - np.exp(-lam * np.maximum(T - y, 0.0)))
         return np.where(y < T, inside, 0.0)
 
-    def k_mass(y):
-        y = np.asarray(y, dtype=float)
-        return np.exp(-y)
-
     part_k = pair.nu.integrate(k_ind, breaks=(T,))
-    part_restart = m * gamma_mass * pair.nu.integrate(k_mass)
+    part_restart = m * gamma_mass * pair.nu.integrate_exp_tilt(1.0)
     return part_k + part_restart
 
 
@@ -610,7 +546,6 @@ def pf_limit_check(triplet: LFTriplet, x, n_max: int = 40) -> list[PFLimitRow]:
             scaled = float(v[x])
             rows.append(PFLimitRow(n, scaled, limit, abs(scaled - limit) / abs(limit)))
     else:
-        from .typespace import kernel_power_mass
         for n in range(1, n_max + 1):
             scaled = R ** n * kernel_power_mass(triplet, x, n)
             rows.append(PFLimitRow(n, scaled, limit, abs(scaled - limit) / abs(limit)))

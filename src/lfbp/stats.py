@@ -16,8 +16,9 @@ and refute the other instead of averaging the disagreement away.
 
 Also here: the renewal-sequence utility c_n = b_n + sum a_k c_{n-k} with
 its limit b(1)/a'(1), two-sample and one-sample Kolmogorov-Smirnov tests,
-a chi-square test against the shifted-geometric conditional law, and named
-probe functions used to turn measures into scalars.
+and a chi-square test against the shifted-geometric conditional law. The
+named probes that turn measures into scalars live in ``measures`` and are
+re-exported here.
 """
 
 from __future__ import annotations
@@ -30,13 +31,13 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import special
 
-from . import hypoexp
 from .errors import RegimeError
 from .evolution import evolve, survival_prob
+from .measures import Probe, probe
 from .simulate import DEFAULT_CAP, replicate_zn, simulate_bgw, stream
-from .spectral import (CRITICAL, SUBCRITICAL, SUPERCRITICAL, LifeLengthLaw,
-                       NuMeasure, _reachable_set, classify, eigen_build)
-from .typespace import FAMILY_FINITE, LFTriplet, as_finite_vector
+from .spectral import (CRITICAL, SUBCRITICAL, SUPERCRITICAL, NuMeasure,
+                       classify, eigen_build, gamma_resolvent)
+from .typespace import LFTriplet
 
 KS_MIN = 100          # below this a KS p-value is not worth reporting
 YAGLOM_MIN = 500      # conditioned-sample floor for a Yaglom verdict
@@ -142,54 +143,6 @@ def richardson(a_n: float, a_2n: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# probe functions
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class Probe:
-    """Named scalar function of the type variable.
-
-    ``breaks`` lists kink locations so quadrature can split panels there.
-    ``theta`` is set for exponential tilts, letting measures with exact
-    moment generating functions skip quadrature entirely.
-    """
-
-    spec: str
-    fn: object
-    breaks: tuple = ()
-    theta: float | None = None
-
-    def __call__(self, y):
-        return self.fn(y)
-
-
-def probe(spec: str) -> Probe:
-    """Parse a probe spec: ``const[:c]``, ``tilt:theta``, ``indicator:T``
-    (or ``indicator:a,b``), or ``expr:<numpy expression in y>``."""
-    name, _, arg = spec.partition(":")
-    if name == "const":
-        c = float(arg) if arg else 1.0
-        return Probe(spec, lambda y, c=c: np.full_like(np.asarray(y, dtype=float), c))
-    if name == "tilt":
-        th = float(arg)
-        return Probe(spec, lambda y, th=th: np.exp(-th * np.asarray(y, dtype=float)),
-                     theta=th)
-    if name == "indicator":
-        parts = [float(p) for p in arg.split(",")]
-        a, b = (0.0, parts[0]) if len(parts) == 1 else parts
-        def ind(y, a=a, b=b):
-            y = np.asarray(y, dtype=float)
-            return ((y >= a) & (y <= b)).astype(float)
-        return Probe(spec, ind, breaks=(a, b))
-    if name == "expr":
-        code = compile(arg, "<probe>", "eval")
-        def ev(y, code=code):
-            return np.asarray(eval(code, {"np": np, "y": np.asarray(y, dtype=float)}))
-        return Probe(spec, ev)
-    raise ValueError(f"unknown probe {spec!r}")
-
-
-# ---------------------------------------------------------------------------
 # renewal utility
 # ---------------------------------------------------------------------------
 
@@ -252,91 +205,16 @@ def renewal_sequence(a, b, n_max: int, rel: float = _CONV_REL) -> RenewalSequenc
 # limit-triplet measures
 # ---------------------------------------------------------------------------
 
-class TypeMeasure:
-    """A measure on the type space: finite vector or hypoexponential mixture.
-
-    The subcritical limit triplet needs gamma-averaged resolvent measures at
-    two different arguments; this is the shared integrate/mass surface for
-    both families.
-    """
-
-    def __init__(self, vector=None, weights=None, components=None):
-        self.vector = vector
-        self.weights = weights
-        self.components = components
-
-    def mass(self) -> float:
-        if self.vector is not None:
-            return float(self.vector.sum())
-        return float(self.weights.sum())
-
-    def integrate(self, g, breaks=()) -> float:
-        if self.vector is not None:
-            return float(self.vector @ as_finite_vector(g, len(self.vector)))
-        return float(sum(w * comp.expect(g, breaks=breaks)
-                         for w, comp in zip(self.weights, self.components)))
-
-    def integrate_probe(self, p: Probe) -> float:
-        if self.vector is not None:
-            return float(self.vector @ p.fn(np.arange(len(self.vector))))
-        if p.theta is not None:
-            return float(sum(w * comp.mgf_neg(p.theta)
-                             for w, comp in zip(self.weights, self.components)))
-        return self.integrate(p.fn, breaks=p.breaks)
-
-
-def _gamma_resolvent_vector(t, s: float) -> np.ndarray:
-    """gamma^T (I - sK)^{-1} on the gamma-reachable class, zero elsewhere."""
-    K, gam = t.K, t.gamma_vector
-    reach = _reachable_set(K, np.flatnonzero(gam > 0))
-    sub = K[np.ix_(reach, reach)]
-    w = np.linalg.solve(np.eye(len(reach)) - s * sub.T, gam[reach])
-    out = np.zeros(K.shape[0])
-    out[reach] = w
-    return out
-
-
-def _exp_mixture_components(t, upto: int) -> list:
-    comps = [hypoexp.Hypoexp((t.mu,))]
-    comps += [hypoexp.gamma_chain_law(t.lam, t.mu, r) for r in range(1, upto)]
-    return comps
-
-
-def _exp_tail_weights(t, s: float, tol: float = 1e-16) -> np.ndarray:
-    """d_r s^r until the tail is negligible (requires s below the radius)."""
-    law = LifeLengthLaw(t)
-    n = 8
-    d = law.tails(n)
-    while d[-1] * s ** (len(d) - 1) > tol and n < 4096:
-        n *= 2
-        d = law.tails(n)
-    return d * np.power(s, np.arange(len(d)))
-
-
-def limit_triplet_measures(t: LFTriplet, R: float, f1: float,
-                           mf1: float) -> tuple[TypeMeasure, TypeMeasure]:
+def limit_triplet_measures(t: LFTriplet, R: float, f1: float, mf1: float):
     """(gamma_tilde, kappa_tilde) of the subcritical conditional limit law.
 
     gamma_tilde averages the resolvent at 1 and normalizes by 1 + f(1);
     kappa_tilde is the difference of resolvents at R and 1 scaled to mass
     one. Both are ancestor-independent.
     """
-    m = t.m
-    if t.family == FAMILY_FINITE:
-        at1 = _gamma_resolvent_vector(t, 1.0)
-        atR = _gamma_resolvent_vector(t, R)
-        gamma_tilde = TypeMeasure(vector=at1 / (1.0 + f1))
-        kappa_tilde = TypeMeasure(vector=(m / (1.0 - mf1)) * (atR - at1))
-        return gamma_tilde, kappa_tilde
-    w1 = _exp_tail_weights(t, 1.0)
-    wR = _exp_tail_weights(t, R)
-    k = max(len(w1), len(wR))
-    w1 = np.pad(w1, (0, k - len(w1)))
-    wR = np.pad(wR, (0, k - len(wR)))
-    comps = _exp_mixture_components(t, k)
-    gamma_tilde = TypeMeasure(weights=w1 / (1.0 + f1), components=comps)
-    kappa_tilde = TypeMeasure(weights=(m / (1.0 - mf1)) * (wR - w1),
-                              components=comps)
+    at1 = gamma_resolvent(t, 1.0)
+    gamma_tilde = (1.0 / (1.0 + f1)) * at1
+    kappa_tilde = (t.m / (1.0 - mf1)) * (gamma_resolvent(t, R) - at1)
     return gamma_tilde, kappa_tilde
 
 
@@ -414,20 +292,8 @@ def _certify_and_refute(tests: list, name: str, measured: float,
 
 def _conditional_functional(law, x, p: Probe) -> float:
     """E[prod h(child types) | Z_n > 0] from the generation-n triplet."""
-    t = law.triplet
-    s = law.survival(x)
-    if t.family == FAMILY_FINITE:
-        hv = as_finite_vector(p.fn(np.arange(t.d)), t.d)
-        gh = law.gamma_n.integrate(hv)
-        top = law.kn_integrate(x, hv)
-    else:
-        if p.theta is not None:
-            gh = law.gamma_n.integrate_exp_tilt(p.theta)
-            top = law.kn_tilt(x, p.theta)
-        else:
-            gh = law.gamma_n.integrate(p.fn, breaks=p.breaks)
-            top = law.kn_integrate(x, p.fn, breaks=p.breaks)
-    return top / (s * (1.0 + law.m_n - law.m_n * gh))
+    denom = 1.0 + law.m_n - law.m_n * p.apply(law.gamma_n)
+    return p.apply(law.kn_measure(x)) / (law.survival(x) * denom)
 
 
 # ---------------------------------------------------------------------------
@@ -488,8 +354,8 @@ def limit_subcritical(triplet: LFTriplet, x, n_grid=None,
     tests.append(CheckRow("limit kernel has mass one", 1.0, kappa_tilde.mass(),
                           1e-9, abs(kappa_tilde.mass() - 1.0) <= 1e-9))
     for p in probes:
-        gph = gamma_tilde.integrate_probe(p)
-        target = kappa_tilde.integrate_probe(p) / (1.0 + m_tilde - m_tilde * gph)
+        denom = 1.0 + m_tilde - m_tilde * p.apply(gamma_tilde)
+        target = p.apply(kappa_tilde) / denom
         got = cond[p.spec][-1]
         constants[f"conditional:{p.spec}"] = {"printed": target,
                                               "derived": target, "measured": got}
@@ -522,13 +388,12 @@ def yaglom_sample(triplet: LFTriplet, n: int, reps: int, seed: int,
     result is worker-count invariant.
     """
     p = probe(w) if isinstance(w, str) else w
-    if p.spec.startswith("const"):
-        c = float(p.fn(np.zeros(1))[0])
+    if p.const is not None:
         zs = replicate_zn(triplet, n, reps, seed, simulator="bgw",
                           workers=workers, cap=cap)
         if zs.discarded:
             raise RuntimeError(f"{zs.discarded} replicates hit the cap")
-        return zs.values.astype(float) * c
+        return zs.values.astype(float) * p.const
     if workers <= 1 or reps < 4 * workers:
         return _yaglom_range(triplet, n, p.spec, seed, 0, reps, cap)
     bounds = np.linspace(0, reps, workers + 1, dtype=int)
@@ -597,8 +462,7 @@ def limit_critical(triplet: LFTriplet, x, n_grid=None, w: str = "const",
             raise ValueError("a seed is required for the Monte Carlo check")
         p = probe(w)
         n_star = n_grid[-1]
-        nu_w = NuMeasure(triplet, summary.R)
-        denom = n_star * nu_probe(nu_w, p)
+        denom = n_star * p.apply(NuMeasure(triplet, summary.R))
         vals = yaglom_sample(triplet, n_star, reps, seed, w=w, workers=workers)
         cond = vals[vals > 0.0] / denom
         constants["yaglom_mean"]["measured"] = (float(cond.mean())
@@ -632,14 +496,6 @@ def limit_critical(triplet: LFTriplet, x, n_grid=None, w: str = "const",
     converged = {k: detect_convergence(v)[0] for k, v in rows.items()}
     return LimitReport(CRITICAL, constants, tests, n_grid, rows, converged,
                        notes)
-
-
-def nu_probe(nu: NuMeasure, p: Probe) -> float:
-    if nu.triplet.family == FAMILY_FINITE:
-        return float(nu.vector @ p.fn(np.arange(len(nu.vector))))
-    if p.theta is not None:
-        return nu.integrate_exp_tilt(p.theta)
-    return nu.integrate(p.fn, breaks=p.breaks)
 
 
 def limit_supercritical(triplet: LFTriplet, x, n_grid=None, w: str = "const",
@@ -702,7 +558,7 @@ def limit_supercritical(triplet: LFTriplet, x, n_grid=None, w: str = "const",
         if n_star < n_grid[-1]:
             notes.append(f"tail check run at n = {n_star} to keep the "
                          "simulation budget bounded")
-        nu_w = nu_probe(NuMeasure(triplet, R), p)
+        nu_w = p.apply(NuMeasure(triplet, R))
         vals = yaglom_sample(triplet, n_star, reps, seed, w=w, workers=workers)
         cond = vals[vals > 0.0] / (rho ** n_star * nu_w)
         if len(cond) < YAGLOM_MIN:

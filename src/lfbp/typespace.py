@@ -13,109 +13,62 @@ k - 1 are i.i.d. gamma. The one-step mean kernel is the rank-one perturbation
 
     M(x, A) = K(x, A) + K(x, E) * m * gamma(A).
 
-Two concrete families are provided: a finite type space (K a matrix, gamma a
-vector) and the exponential family on (0, inf) with K(x, A) =
-exp(-x) P(x + Y in A), Y ~ Exp(lambda), gamma = Exp(mu). A user-pluggable
-kernel/measure pair is accepted wherever only sampling and one-step means are
-required; the exact multi-step machinery needs one of the two families.
+Exactly two families exist: a finite type space (K a matrix, gamma a
+``VectorMeasure``) and the exponential family on (0, inf) with K(x, A) =
+exp(-x) P(x + Y in A), Y ~ Exp(lambda), gamma = Exp(mu) as a one-component
+``MixtureMeasure``. Every layer above this one handles both.
 """
 
 from __future__ import annotations
 
-import json
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 from scipy.special import gammaln
 
-from . import quadrature
+from . import hypoexp, quadrature
 from .errors import TripletFormatError
-from .streams import geometric
+from .measures import (MixtureMeasure, VectorMeasure, as_array_callable,
+                       as_finite_vector)
+from .recursions import g_sequence
 
 TypePoint = Union[int, float]
 
 FAMILY_FINITE = "finite"
 FAMILY_EXP = "exp"
-FAMILY_CUSTOM = "custom"
 
 
 # ---------------------------------------------------------------------------
-# kernel and measure interfaces
+# kernels
 # ---------------------------------------------------------------------------
 
-class SubStochasticKernel:
-    """Interface for K(x, dy) with total mass K(x, E) <= 1."""
+class FiniteKernel:
+    """K(x, .) as row x of a sub-stochastic matrix."""
 
-    def mass(self, x: TypePoint) -> float:
-        """K(x, E), the survival probability of the marked line at x."""
-        raise NotImplementedError
-
-    def sample_marked(self, x: TypePoint, rng: np.random.Generator) -> TypePoint:
-        """Draw from the normalized kernel K(x, .) / K(x, E)."""
-        raise NotImplementedError
-
-    def apply(self, g, x: TypePoint) -> float:
-        """Integral of g against K(x, .) (unnormalized)."""
-        raise NotImplementedError
-
-
-class ImmigrationMeasure:
-    """Interface for the probability measure gamma of unmarked offspring types."""
-
-    def sample(self, rng: np.random.Generator, size: int | None = None):
-        raise NotImplementedError
-
-    def integrate(self, g) -> float:
-        raise NotImplementedError
-
-
-class FiniteKernel(SubStochasticKernel):
     def __init__(self, K: np.ndarray):
         self.K = K
         self.row_mass = K.sum(axis=1)
 
     def mass(self, x):
+        """K(x, E), the survival probability of the marked line at x."""
         return float(self.row_mass[x])
 
     def sample_marked(self, x, rng):
+        """Draw from the normalized kernel K(x, .) / K(x, E)."""
         row = self.K[x]
         return int(rng.choice(len(row), p=row / self.row_mass[x]))
 
     def apply(self, g, x):
+        """Integral of g against K(x, .) (unnormalized)."""
         gv = as_finite_vector(g, self.K.shape[0])
         return float(self.K[x] @ gv)
 
 
-class FiniteMeasure(ImmigrationMeasure):
-    def __init__(self, gamma: np.ndarray):
-        self.gamma = gamma
-
-    def sample(self, rng, size=None):
-        out = rng.choice(len(self.gamma), p=self.gamma, size=size)
-        return int(out) if size is None else out.astype(np.int64)
-
-    def integrate(self, g):
-        gv = as_finite_vector(g, len(self.gamma))
-        return float(self.gamma @ gv)
-
-
-def as_array_callable(g) -> Callable[[np.ndarray], np.ndarray]:
-    """Wrap a scalar-or-vector callable so quadrature can feed it arrays."""
-    def f(t):
-        try:
-            out = np.asarray(g(t), dtype=float)
-            if out.shape == np.shape(t):
-                return out
-        except (TypeError, ValueError):
-            pass
-        return np.array([float(g(ti)) for ti in np.atleast_1d(t)])
-    return f
-
-
-class ExpKernel(SubStochasticKernel):
+class ExpKernel:
     """K(x, A) = exp(-x) P(x + Y in A), Y ~ Exp(lambda)."""
 
     def __init__(self, lam: float):
@@ -133,27 +86,6 @@ class ExpKernel(SubStochasticKernel):
         return math.exp(-x) * val
 
 
-class ExpMeasure(ImmigrationMeasure):
-    def __init__(self, mu: float):
-        self.mu = mu
-
-    def sample(self, rng, size=None):
-        return rng.exponential(1.0 / self.mu, size=size)
-
-    def integrate(self, g):
-        return quadrature.exp_weighted(as_array_callable(g), self.mu)
-
-
-def as_finite_vector(g, d: int) -> np.ndarray:
-    """Coerce a test function (callable or length-d sequence) to a vector."""
-    if callable(g):
-        return np.array([float(g(j)) for j in range(d)])
-    gv = np.asarray(g, dtype=float)
-    if gv.shape != (d,):
-        raise ValueError(f"test function vector must have shape ({d},), got {gv.shape}")
-    return gv
-
-
 # ---------------------------------------------------------------------------
 # triplets
 # ---------------------------------------------------------------------------
@@ -166,13 +98,10 @@ class LFTriplet:
     invariants and freeze their arrays.
     """
 
-    kernel: SubStochasticKernel
-    gamma: ImmigrationMeasure
+    kernel: FiniteKernel | ExpKernel
+    gamma: VectorMeasure | MixtureMeasure
     m: float
-    family: str = FAMILY_CUSTOM
-
-    def validate_point(self, x: TypePoint) -> TypePoint:
-        return x
+    family: str
 
 
 @dataclass(frozen=True, eq=False)
@@ -259,13 +188,38 @@ class ExpFamilyTriplet(LFTriplet):
         return exp_family_kn_mass(self.lam, self.validate_point(x), n)
 
 
+def _real_array(field: str, value) -> np.ndarray:
+    """``value`` as a float array of finite entries, else TripletFormatError.
+
+    Bools and strings are rejected here because numpy would quietly turn
+    them into numbers.
+    """
+    raw = np.asarray(value, dtype=object)
+    for tp in set(map(type, raw.flat)):
+        if tp is bool or not issubclass(tp, numbers.Real):
+            bad = next(v for v in raw.flat if type(v) is tp)
+            raise TripletFormatError(field, f"must hold real numbers, got {bad!r}")
+    out = raw.astype(float)
+    bad = out[~np.isfinite(out)]
+    if bad.size:
+        raise TripletFormatError(field, f"must be finite, got {float(bad[0])}")
+    return out
+
+
+def _positive_real(field: str, value) -> float:
+    val = _real_array(field, value)
+    if val.ndim != 0 or not val > 0.0:
+        raise TripletFormatError(field, f"must be a positive real, got {value!r}")
+    return float(val)
+
+
 def make_finite_triplet(K, gamma, m: float) -> FiniteTriplet:
     """Validate and build a finite-family triplet.
 
     Raises TripletFormatError naming the offending field.
     """
-    K = np.asarray(K, dtype=float)
-    gamma = np.asarray(gamma, dtype=float)
+    K = _real_array("K", K)
+    gamma = _real_array("gamma", gamma)
     if K.ndim != 2 or K.shape[0] != K.shape[1] or K.shape[0] == 0:
         raise TripletFormatError("K", f"must be a nonempty square matrix, got shape {K.shape}")
     d = K.shape[0]
@@ -285,21 +239,20 @@ def make_finite_triplet(K, gamma, m: float) -> FiniteTriplet:
     gamma = np.clip(gamma, 0.0, None)
     if abs(gamma.sum() - 1.0) > 1e-12:
         raise TripletFormatError("gamma", f"entries sum to {gamma.sum():.12g}, expected 1")
-    if not (m > 0.0) or not math.isfinite(m):
-        raise TripletFormatError("m", f"must be a positive real, got {m!r}")
+    m = _positive_real("m", m)
     K.setflags(write=False)
     gamma.setflags(write=False)
-    return FiniteTriplet(kernel=FiniteKernel(K), gamma=FiniteMeasure(gamma),
-                         m=float(m), family=FAMILY_FINITE, K=K, gamma_vector=gamma)
+    return FiniteTriplet(kernel=FiniteKernel(K), gamma=VectorMeasure(gamma),
+                         m=m, family=FAMILY_FINITE, K=K, gamma_vector=gamma)
 
 
 def make_exp_triplet(lam: float, mu: float, m: float) -> ExpFamilyTriplet:
     """Validate and build an exponential-family triplet."""
-    for name, val in (("lambda", lam), ("mu", mu), ("m", m)):
-        if not (val > 0.0) or not math.isfinite(val):
-            raise TripletFormatError(name, f"must be a positive real, got {val!r}")
-    return ExpFamilyTriplet(kernel=ExpKernel(float(lam)), gamma=ExpMeasure(float(mu)),
-                            m=float(m), family=FAMILY_EXP, lam=float(lam), mu=float(mu))
+    lam, mu, m = (_positive_real(name, val)
+                  for name, val in (("lambda", lam), ("mu", mu), ("m", m)))
+    return ExpFamilyTriplet(kernel=ExpKernel(lam),
+                            gamma=MixtureMeasure([1.0], [hypoexp.Hypoexp((mu,))]),
+                            m=m, family=FAMILY_EXP, lam=lam, mu=mu)
 
 
 # ---------------------------------------------------------------------------
@@ -327,23 +280,12 @@ def triplet_to_dict(triplet: LFTriplet) -> dict:
     if triplet.family == FAMILY_FINITE:
         return {"family": FAMILY_FINITE, "K": triplet.K.tolist(),
                 "gamma": triplet.gamma_vector.tolist(), "m": triplet.m}
-    if triplet.family == FAMILY_EXP:
-        return {"family": FAMILY_EXP, "lambda": triplet.lam, "mu": triplet.mu,
-                "m": triplet.m}
-    raise ValueError("custom triplets have no JSON form")
-
-
-def parse_triplet(text: str) -> LFTriplet:
-    """Parse a JSON triplet document, with position info on malformed JSON."""
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as e:
-        raise TripletFormatError("<json>", f"line {e.lineno} column {e.colno}: {e.msg}") from e
-    return triplet_from_dict(doc)
+    return {"family": FAMILY_EXP, "lambda": triplet.lam, "mu": triplet.mu,
+            "m": triplet.m}
 
 
 # ---------------------------------------------------------------------------
-# offspring law and one-step means
+# generations and one-step means
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -365,33 +307,6 @@ class GenerationSnapshot:
         return len(self.points)
 
 
-def offspring_sample(triplet: LFTriplet, x: TypePoint, rng: np.random.Generator) -> GenerationSnapshot:
-    """One generation of offspring of a type-x individual.
-
-    Empty with probability 1 - K(x, E); otherwise 1 + geometric(m) children,
-    the marked one at index 0 with law K(x, .)/K(x, E), the rest i.i.d. gamma.
-    """
-    x = triplet.validate_point(x)
-    p_live = triplet.kernel.mass(x)
-    if rng.random() >= p_live:
-        dtype = np.int64 if triplet.family == FAMILY_FINITE else float
-        return GenerationSnapshot(1, np.empty(0, dtype=dtype))
-    extra = geometric(rng, triplet.m)
-    marked = triplet.kernel.sample_marked(x, rng)
-    others = triplet.gamma.sample(rng, extra) if extra > 0 else []
-    points = np.concatenate([[marked], np.asarray(others, dtype=float)])
-    if triplet.family == FAMILY_FINITE:
-        points = points.astype(np.int64)
-    return GenerationSnapshot(1, points, marked=True)
-
-
-def offspring_total_pmf(m: float, k: int) -> float:
-    """P(N = k | N > 0) = m^(k-1) / (1+m)^k for k >= 1."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    return m ** (k - 1) / (1.0 + m) ** k
-
-
 def mean_apply(triplet: LFTriplet, g, x: TypePoint) -> float:
     """One application of the mean kernel: (Mg)(x) = (Kg)(x) + m K(x,E) gamma(g)."""
     x = triplet.validate_point(x)
@@ -403,35 +318,26 @@ def kernel_power_mass(triplet: LFTriplet, x: TypePoint, n: int) -> float:
 
     Finite family: vector iteration with the mean matrix. Exponential family:
     exact expansion M^n(x,E) = c_n e^{-nx} + m sum_i c_i e^{-ix} g_{n-i} with
-    g the gamma-averaged mean-mass recursion. Custom kernels fall back to
-    n-fold mean_apply over callables, which is exponential in n; keep n small.
+    g the gamma-averaged mean-mass recursion.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
     if n == 0:
         return 1.0
+    x = triplet.validate_point(x)
     if triplet.family == FAMILY_FINITE:
-        x = triplet.validate_point(x)
         v = np.ones(triplet.d)
         M = triplet.M
         for _ in range(n):
             v = M @ v
         return float(v[x])
-    if triplet.family == FAMILY_EXP:
-        from .recursions import g_sequence
-        x = triplet.validate_point(x)
-        c = triplet.c_sequence(n)
-        g = g_sequence(triplet.d_sequence(n - 1), triplet.m)
-        ex = np.exp(-np.arange(n + 1) * x)
-        acc = c[n] * ex[n]
-        for i in range(1, n + 1):
-            acc += triplet.m * c[i] * ex[i] * g[n - i]
-        return float(acc)
-    g_fn = lambda y: 1.0
-    for _ in range(n):
-        prev = g_fn
-        g_fn = (lambda p: lambda y: mean_apply(triplet, p, y))(prev)
-    return g_fn(x)
+    c = triplet.c_sequence(n)
+    g = g_sequence(triplet.d_sequence(n - 1), triplet.m)
+    ex = np.exp(-np.arange(n + 1) * x)
+    acc = c[n] * ex[n]
+    for i in range(1, n + 1):
+        acc += triplet.m * c[i] * ex[i] * g[n - i]
+    return float(acc)
 
 
 def exp_family_kn_mass(lam: float, x: float, n: int) -> float:
