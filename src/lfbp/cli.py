@@ -65,6 +65,15 @@ def _parse_point(raw: str | None, triplet: LFTriplet):
     return int(raw) if triplet.family == FAMILY_FINITE else float(raw)
 
 
+def _count(least: int):
+    """argparse type: an integer >= ``least``."""
+    def count(raw: str) -> int:
+        if int(raw) < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {raw}")
+        return int(raw)
+    return count
+
+
 def _parse_floats(raw: str) -> list[float]:
     return [float(p) for p in raw.split(",") if p.strip() != ""]
 
@@ -260,15 +269,13 @@ def cmd_yaglom(args) -> int:
     if summary.criticality != spectral.CRITICAL:
         raise RegimeError(f"yaglom needs a critical triplet, got "
                           f"{summary.criticality}")
-    w = args.w or "const"
-    denom = args.n * stats.probe(w).apply(spectral.NuMeasure(t, summary.R))
-    vals = stats.yaglom_sample(t, args.n, args.reps, args.seed, w=w,
-                               workers=args.workers)
-    cond = vals[vals > 0.0] / denom
+    cond = stats.conditioned_scaled_sample(t, summary.R, args.n, args.n,
+                                           args.reps, args.seed,
+                                           args.w or "const", args.workers)
     mean_derived = (1.0 + t.m) / summary.beta
     report = {"schema": JSON_SCHEMA, "config": _config(args, t),
               "n": args.n, "reps": args.reps, "conditioned": int(len(cond)),
-              "survival_rate": float((vals > 0).mean()),
+              "survival_rate": len(cond) / args.reps,
               "mean": {"printed": 1.0 + t.m, "derived": mean_derived,
                        "measured": float(cond.mean()) if len(cond) else None}}
     if len(cond) < stats.YAGLOM_MIN:
@@ -324,13 +331,13 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--seed", type=int, required=True,
                            help="base seed; replicate i uses stream (seed, i)")
         if reps:
-            p.add_argument("--reps", type=int, required=True)
+            p.add_argument("--reps", type=_count(1), required=True)
         if n:
             p.add_argument("--n", type=int, required=True,
                            help="generation horizon")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--workers", type=int, default=1)
+        p.add_argument("--workers", type=_count(1), default=1)
         p.add_argument("--tol", type=float, default=None)
 
     p = sub.add_parser("classify", help="criticality, R, rho, alpha, beta, E[L]")
@@ -373,8 +380,8 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--x", help="ancestor type (index, default 0; or real, default 1.0)")
     p.add_argument("--grid", help="comma-separated n grid")
-    p.add_argument("--reps", type=int, default=0,
-                   help="enable the Monte Carlo checks")
+    p.add_argument("--reps", type=_count(0), default=0,
+                   help="enable the Monte Carlo checks (0 = off)")
     p.add_argument("--seed", type=int, help="required when --reps > 0")
     p.add_argument("--w", help="probe for the scaled-population checks")
     p.set_defaults(fn=cmd_limits)

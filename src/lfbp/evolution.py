@@ -191,10 +191,7 @@ class GenerationLaw:
         """Sample Z_n(.) given Z_n > 0: marked point + geometric extras."""
         marked = self.marked_sample(x, rng)
         extra = int(geometric(rng, self.m_n))
-        if self.triplet.family == FAMILY_FINITE:
-            pts = np.empty(1 + extra, dtype=np.int64)
-        else:
-            pts = np.empty(1 + extra, dtype=float)
+        pts = np.empty(1 + extra, dtype=self.triplet.point_dtype)
         pts[0] = marked
         if extra:
             pts[1:] = self.gamma_n.sample(rng, size=extra)

@@ -49,13 +49,12 @@ def integrate(f, a: float, b: float, *, tol: float = 1e-10, panels: int = 8,
     raise QuadratureError(prev, err, tol)
 
 
-def exp_weighted(g, rate: float, *, tol: float = 1e-10, tail: float = 1e-14,
-                 bound: float | None = None) -> float:
+def exp_weighted(g, rate: float, *, tol: float = 1e-10,
+                 tail: float = 1e-14) -> float:
     """Compute integral of g(t) * rate * exp(-rate t) over t in [0, inf).
 
     ``g`` is assumed bounded; the cutoff T satisfies exp(-rate T) < ``tail``
-    so the discarded mass is below tail * sup|g|. ``bound``, when given, is
-    only used to sanity-scale the tail check.
+    so the discarded mass is below tail * sup|g|.
     """
     if rate <= 0.0:
         raise ValueError("rate must be positive")

@@ -1,6 +1,7 @@
 """Three independent simulators of the same branching process.
 
-* simulate_bgw: direct generation-by-generation branching.
+* simulate_bgw: direct generation-by-generation branching, one vectorized
+  step for both families; ``bgw_generation`` keeps generation n only.
 * simulate_cmj: the embedded population whose individuals are maximal marked
   lineages; an individual born at b lives through [b, b+L-1] and drops a
   geometric(mean m) litter of new individuals at each age 1..L-1. The count
@@ -14,10 +15,9 @@
   the walk forget which lineage's litter it is consuming, so no stack is
   kept.
 
-All three draw life lengths from the same tail sequence d_n and agree with
-the exact engine; cross-validation is their purpose. Replicate drivers give
-every replicate its own RNG stream keyed by (seed, replicate index), so
-results do not depend on worker count or scheduling.
+All three agree in law with the exact engine; cross-validation is their
+purpose. ``replicate_map`` runs every replicate loop: replicate i draws from
+stream (seed, i), so results do not depend on worker count or scheduling.
 """
 
 from __future__ import annotations
@@ -30,8 +30,7 @@ import numpy as np
 from .errors import PopulationCapError, WalkCapError
 from .spectral import LifeLengthLaw
 from .streams import geometric, stream
-from .typespace import (FAMILY_FINITE, ExpFamilyTriplet, FiniteTriplet,
-                        GenerationSnapshot, LFTriplet)
+from .typespace import GenerationSnapshot, LFTriplet
 
 DEFAULT_CAP = 10_000_000
 _WALK_CAP = 100_000_000
@@ -48,57 +47,25 @@ def _start_points(triplet: LFTriplet, start, rng: np.random.Generator):
         pt = triplet.gamma.sample(rng)
     else:
         pt = triplet.validate_point(start)
-    dtype = np.int64 if triplet.family == FAMILY_FINITE else float
-    return np.array([pt], dtype=dtype)
+    return np.array([pt], dtype=triplet.point_dtype)
 
 
-def _bgw_step_finite(t: FiniteTriplet, cur: np.ndarray, rng, cap: int,
-                     gen: int) -> np.ndarray:
-    """One vectorized generation step; exact categorical draws per particle."""
-    K = t.K
-    km = t.K_row_mass[cur]
-    alive = rng.random(len(cur)) < km
+def _bgw_step(t: LFTriplet, cur: np.ndarray, rng, cap: int,
+              gen: int) -> np.ndarray:
+    """One generation: survival coins, marked children, litters, gamma extras."""
+    alive = rng.random(len(cur)) < t.kernel.mass(cur)
     parents = cur[alive]
     if len(parents) == 0:
-        return np.empty(0, dtype=np.int64)
-    # marked child: inverse-cdf on each parent's kernel row
-    cum = np.cumsum(K[parents], axis=1)
-    u = rng.random(len(parents)) * km[alive]
-    marked = (cum < u[:, None]).sum(axis=1)
+        return parents
+    marked = t.kernel.sample_marked(parents, rng)
     extras = geometric(rng, t.m, size=len(parents))
     total_extra = int(extras.sum())
     size = len(parents) + total_extra
     if size > cap:
         raise PopulationCapError(gen, size, cap)
     if total_extra:
-        others = np.searchsorted(t.gamma_cdf, rng.random(total_extra),
-                                 side="right")
-        return np.concatenate([marked, others]).astype(np.int64)
-    return marked.astype(np.int64)
-
-
-def _bgw_step_exp(t: ExpFamilyTriplet, cur: np.ndarray, rng, cap: int,
-                  gen: int) -> np.ndarray:
-    alive = rng.random(len(cur)) < np.exp(-cur)
-    parents = cur[alive]
-    if len(parents) == 0:
-        return np.empty(0, dtype=float)
-    marked = parents + rng.exponential(1.0 / t.lam, size=len(parents))
-    extras = geometric(rng, t.m, size=len(parents))
-    total_extra = int(extras.sum())
-    size = len(parents) + total_extra
-    if size > cap:
-        raise PopulationCapError(gen, size, cap)
-    if total_extra:
-        others = rng.exponential(1.0 / t.mu, size=total_extra)
-        return np.concatenate([marked, others])
+        return np.concatenate([marked, t.sample_gamma(rng, total_extra)])
     return marked
-
-
-def _bgw_step(triplet: LFTriplet, cur, rng, cap, gen):
-    if triplet.family == FAMILY_FINITE:
-        return _bgw_step_finite(triplet, cur, rng, cap, gen)
-    return _bgw_step_exp(triplet, cur, rng, cap, gen)
 
 
 def simulate_bgw(triplet: LFTriplet, start, n: int, rng: np.random.Generator,
@@ -119,14 +86,17 @@ def simulate_bgw(triplet: LFTriplet, start, n: int, rng: np.random.Generator,
     return snaps
 
 
-def _bgw_zn(triplet: LFTriplet, start, n: int, rng, cap: int) -> int:
-    """Fast path: Z_n only, stopping at extinction."""
+def bgw_generation(triplet: LFTriplet, start, n: int, rng: np.random.Generator,
+                   cap: int = DEFAULT_CAP) -> np.ndarray:
+    """Generation-n points of ``simulate_bgw`` on the same stream, no snapshots."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
     cur = _start_points(triplet, start, rng)
     for gen in range(1, n + 1):
         if len(cur) == 0:
-            return 0
+            break
         cur = _bgw_step(triplet, cur, rng, cap, gen)
-    return len(cur)
+    return cur
 
 
 # ---------------------------------------------------------------------------
@@ -248,8 +218,7 @@ def simulate_typed_lineage(triplet: LFTriplet, x, rng: np.random.Generator,
         path.append(kernel.sample_marked(path[-1], rng))
         if len(path) > step_cap:
             raise WalkCapError(len(path), step_cap)
-    dtype = np.int64 if triplet.family == FAMILY_FINITE else float
-    return np.array(path, dtype=dtype)
+    return np.array(path, dtype=triplet.point_dtype)
 
 
 # ---------------------------------------------------------------------------
@@ -286,26 +255,42 @@ class ZnSample:
         return self.values[self.values > 0]
 
 
-def _one_replicate(triplet, simulator, start, n, cap, law, rng) -> int:
-    if simulator == "bgw":
-        return _bgw_zn(triplet, start, n, rng, cap)
-    if simulator == "cmj":
-        return int(simulate_cmj(triplet, n, rng, cap=cap, law=law)[n])
-    if simulator == "contour":
-        return int(simulate_contour(triplet, n, rng, law=law))
-    raise ValueError(f"unknown simulator {simulator!r}; pick from {SIMULATORS}")
+def replicate_map(make, args: tuple, reps: int, seed: int,
+                  workers: int = 1) -> np.ndarray:
+    """Values of replicates 0..reps-1 in order; replicate i uses stream (seed, i).
+
+    ``make(*args)`` builds the per-replicate function ``rng -> value`` once
+    per chunk. Chunks run in a process pool when there are at least four
+    replicates per worker; ``make`` and ``args`` must then pickle.
+    """
+    if workers <= 1 or reps < 4 * workers:
+        return _map_chunk(make, args, seed, 0, reps)
+    bounds = np.linspace(0, reps, workers + 1, dtype=int)
+    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+        futs = [pool.submit(_map_chunk, make, args, seed, int(lo), int(hi))
+                for lo, hi in zip(bounds[:-1], bounds[1:])]
+        return np.concatenate([f.result() for f in futs])
 
 
-def _run_range(triplet, simulator, start, n, cap, seed, lo, hi):
-    law = LifeLengthLaw(triplet) if simulator in ("cmj", "contour") else None
-    out = np.empty(hi - lo, dtype=np.int64)
-    for i in range(lo, hi):
-        rng = stream(seed, i)
+def _map_chunk(make, args, seed, lo, hi):
+    draw = make(*args)
+    return np.array([draw(stream(seed, i)) for i in range(lo, hi)])
+
+
+def _zn_draw(triplet, simulator, start, n, cap):
+    """Per-replicate Z_n function; a capped run gives -1 (discarded)."""
+    law = LifeLengthLaw(triplet) if simulator != "bgw" else None
+
+    def draw(rng):
         try:
-            out[i - lo] = _one_replicate(triplet, simulator, start, n, cap, law, rng)
+            if simulator == "bgw":
+                return len(bgw_generation(triplet, start, n, rng, cap))
+            if simulator == "cmj":
+                return int(simulate_cmj(triplet, n, rng, cap=cap, law=law)[n])
+            return simulate_contour(triplet, n, rng, law=law)
         except (PopulationCapError, WalkCapError):
-            out[i - lo] = -1          # sentinel: discarded
-    return out
+            return -1
+    return draw
 
 
 def replicate_zn(triplet: LFTriplet, n: int, reps: int, seed: int,
@@ -318,14 +303,7 @@ def replicate_zn(triplet: LFTriplet, n: int, reps: int, seed: int,
     """
     if simulator not in SIMULATORS:
         raise ValueError(f"unknown simulator {simulator!r}; pick from {SIMULATORS}")
-    if workers <= 1 or reps < 4 * workers:
-        raw = _run_range(triplet, simulator, start, n, cap, seed, 0, reps)
-    else:
-        bounds = np.linspace(0, reps, workers + 1, dtype=int)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            futs = [pool.submit(_run_range, triplet, simulator, start, n, cap,
-                                seed, int(lo), int(hi))
-                    for lo, hi in zip(bounds[:-1], bounds[1:])]
-            raw = np.concatenate([f.result() for f in futs])
+    raw = replicate_map(_zn_draw, (triplet, simulator, start, n, cap), reps,
+                        seed, workers).astype(np.int64)
     keep = raw[raw >= 0]
     return ZnSample(keep, int((raw < 0).sum()), simulator, n, seed, raw)

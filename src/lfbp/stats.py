@@ -23,7 +23,6 @@ re-exported here.
 
 from __future__ import annotations
 
-import concurrent.futures
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -34,7 +33,7 @@ from scipy import special
 from .errors import RegimeError
 from .evolution import evolve, survival_prob
 from .measures import Probe, probe
-from .simulate import DEFAULT_CAP, replicate_zn, simulate_bgw, stream
+from .simulate import DEFAULT_CAP, bgw_generation, replicate_map
 from .spectral import (CRITICAL, SUBCRITICAL, SUPERCRITICAL, NuMeasure,
                        classify, eigen_build, gamma_resolvent)
 from .typespace import LFTriplet
@@ -366,16 +365,16 @@ def limit_subcritical(triplet: LFTriplet, x, n_grid=None,
     return LimitReport(SUBCRITICAL, constants, tests, n_grid, rows, converged)
 
 
-def _yaglom_range(triplet, n, w_spec, seed, lo, hi, cap):
-    """Per-replicate sum of w over generation-n types (picklable worker)."""
+def _generation_sum(triplet, n, w_spec, cap):
+    """Per-replicate sum of w over the generation-n types."""
     p = probe(w_spec)
-    out = np.empty(hi - lo)
-    for i in range(lo, hi):
-        rng = stream(seed, i)
-        snaps = simulate_bgw(triplet, "gamma", n, rng, cap=cap)
-        pts = snaps[n].points
-        out[i - lo] = float(np.sum(p.fn(pts))) if len(pts) else 0.0
-    return out
+
+    def draw(rng):
+        pts = bgw_generation(triplet, "gamma", n, rng, cap)
+        if p.const is not None:
+            return len(pts) * p.const
+        return float(np.sum(p.fn(pts))) if len(pts) else 0.0
+    return draw
 
 
 def yaglom_sample(triplet: LFTriplet, n: int, reps: int, seed: int,
@@ -383,25 +382,30 @@ def yaglom_sample(triplet: LFTriplet, n: int, reps: int, seed: int,
                   cap: int = DEFAULT_CAP) -> np.ndarray:
     """Per-replicate values of sum of w over generation n (zeros included).
 
-    Constant probes ride the fast integer-count path; typed probes replay
-    full trajectories. Replicate i uses stream (seed, i) either way, so the
-    result is worker-count invariant.
+    Each replicate runs BGW to generation n, stopping at extinction; a
+    constant probe scales the count Z_n, a typed one sums w over the points.
+    Replicate i uses stream (seed, i), so the result is worker-count
+    invariant. A replicate that exceeds ``cap`` raises PopulationCapError.
     """
     p = probe(w) if isinstance(w, str) else w
-    if p.const is not None:
-        zs = replicate_zn(triplet, n, reps, seed, simulator="bgw",
-                          workers=workers, cap=cap)
-        if zs.discarded:
-            raise RuntimeError(f"{zs.discarded} replicates hit the cap")
-        return zs.values.astype(float) * p.const
-    if workers <= 1 or reps < 4 * workers:
-        return _yaglom_range(triplet, n, p.spec, seed, 0, reps, cap)
-    bounds = np.linspace(0, reps, workers + 1, dtype=int)
-    with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(_yaglom_range, triplet, n, p.spec, seed,
-                            int(lo), int(hi), cap)
-                for lo, hi in zip(bounds[:-1], bounds[1:])]
-        return np.concatenate([f.result() for f in futs])
+    return replicate_map(_generation_sum, (triplet, n, p.spec, cap), reps,
+                         seed, workers)
+
+
+def conditioned_scaled_sample(triplet: LFTriplet, R: float, n: int,
+                              scale: float, reps: int, seed: int | None,
+                              w: str = "const", workers: int = 1) -> np.ndarray:
+    """Surviving replicates of sum of w over generation n, over scale nu(w).
+
+    nu is the eigenmeasure at the convergence radius ``R``; ``scale`` is n
+    when critical and rho^n when supercritical. A zero sum counts as extinct.
+    """
+    if seed is None:
+        raise ValueError("a seed is required for the Monte Carlo check")
+    p = probe(w) if isinstance(w, str) else w
+    denom = scale * p.apply(NuMeasure(triplet, R))
+    vals = yaglom_sample(triplet, n, reps, seed, w=p, workers=workers)
+    return vals[vals > 0.0] / denom
 
 
 def limit_critical(triplet: LFTriplet, x, n_grid=None, w: str = "const",
@@ -458,13 +462,9 @@ def limit_critical(triplet: LFTriplet, x, n_grid=None, w: str = "const",
 
     notes = []
     if reps > 0:
-        if seed is None:
-            raise ValueError("a seed is required for the Monte Carlo check")
-        p = probe(w)
         n_star = n_grid[-1]
-        denom = n_star * p.apply(NuMeasure(triplet, summary.R))
-        vals = yaglom_sample(triplet, n_star, reps, seed, w=w, workers=workers)
-        cond = vals[vals > 0.0] / denom
+        cond = conditioned_scaled_sample(triplet, summary.R, n_star, n_star,
+                                         reps, seed, w, workers)
         constants["yaglom_mean"]["measured"] = (float(cond.mean())
                                                 if len(cond) else None)
         if len(cond) < YAGLOM_MIN:
@@ -545,9 +545,6 @@ def limit_supercritical(triplet: LFTriplet, x, n_grid=None, w: str = "const",
 
     notes = []
     if reps > 0:
-        if seed is None:
-            raise ValueError("a seed is required for the Monte Carlo check")
-        p = probe(w)
         # expected particle-generations per replicate ~ growth rho^(n+1)/(rho-1);
         # clamp n so the whole run stays near a fixed work budget
         growth = (1.0 + m) / (m * beta)
@@ -558,9 +555,8 @@ def limit_supercritical(triplet: LFTriplet, x, n_grid=None, w: str = "const",
         if n_star < n_grid[-1]:
             notes.append(f"tail check run at n = {n_star} to keep the "
                          "simulation budget bounded")
-        nu_w = p.apply(NuMeasure(triplet, R))
-        vals = yaglom_sample(triplet, n_star, reps, seed, w=w, workers=workers)
-        cond = vals[vals > 0.0] / (rho ** n_star * nu_w)
+        cond = conditioned_scaled_sample(triplet, R, n_star, rho ** n_star,
+                                         reps, seed, w, workers)
         if len(cond) < YAGLOM_MIN:
             notes.append(f"insufficient power: {len(cond)} conditioned "
                          f"samples < {YAGLOM_MIN}; tail verdict withheld")

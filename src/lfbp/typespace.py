@@ -28,7 +28,6 @@ from functools import cached_property
 from typing import Union
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import hypoexp, quadrature
 from .errors import TripletFormatError
@@ -54,11 +53,17 @@ class FiniteKernel:
         self.row_mass = K.sum(axis=1)
 
     def mass(self, x):
-        """K(x, E), the survival probability of the marked line at x."""
-        return float(self.row_mass[x])
+        """K(x, E), the marked line's survival probability; x may be an array."""
+        return self.row_mass[x]
 
     def sample_marked(self, x, rng):
-        """Draw from the normalized kernel K(x, .) / K(x, E)."""
+        """Draw from K(x, .) / K(x, E), one uniform per draw.
+
+        An array ``x`` draws per entry by inverse cdf on the unnormalized rows.
+        """
+        if np.ndim(x):
+            u = rng.random(len(x)) * self.row_mass[x]
+            return (np.cumsum(self.K[x], axis=1) < u[:, None]).sum(axis=1)
         row = self.K[x]
         return int(rng.choice(len(row), p=row / self.row_mass[x]))
 
@@ -75,10 +80,12 @@ class ExpKernel:
         self.lam = lam
 
     def mass(self, x):
-        return math.exp(-x)
+        # math.exp on scalars: numpy's vector exp may differ in the last bit
+        return np.exp(-x) if np.ndim(x) else math.exp(-x)
 
     def sample_marked(self, x, rng):
-        return float(x + rng.exponential(1.0 / self.lam))
+        """x + Exp(lambda), per entry when ``x`` is an array of parents."""
+        return x + rng.exponential(1.0 / self.lam, size=np.shape(x) or None)
 
     def apply(self, g, x):
         gv = as_array_callable(g)
@@ -108,6 +115,7 @@ class LFTriplet:
 class FiniteTriplet(LFTriplet):
     K: np.ndarray = field(default=None)
     gamma_vector: np.ndarray = field(default=None)
+    point_dtype = np.int64
 
     @property
     def d(self) -> int:
@@ -154,11 +162,16 @@ class FiniteTriplet(LFTriplet):
             v = self.K @ v
         return float(v[self.validate_point(x)])
 
+    def sample_gamma(self, rng, size: int) -> np.ndarray:
+        """``size`` i.i.d. gamma types by inverse cdf."""
+        return np.searchsorted(self.gamma_cdf, rng.random(size), side="right")
+
 
 @dataclass(frozen=True, eq=False)
 class ExpFamilyTriplet(LFTriplet):
     lam: float = field(default=None)
     mu: float = field(default=None)
+    point_dtype = float
 
     def validate_point(self, x):
         xf = float(x)
@@ -184,8 +197,9 @@ class ExpFamilyTriplet(LFTriplet):
         j = np.arange(n + 1)
         return c * self.mu / (self.mu + j)
 
-    def kn_mass(self, x: TypePoint, n: int) -> float:
-        return exp_family_kn_mass(self.lam, self.validate_point(x), n)
+    def sample_gamma(self, rng, size: int) -> np.ndarray:
+        """``size`` i.i.d. Exp(mu) types."""
+        return rng.exponential(1.0 / self.mu, size=size)
 
 
 def _real_array(field: str, value) -> np.ndarray:
@@ -338,16 +352,3 @@ def kernel_power_mass(triplet: LFTriplet, x: TypePoint, n: int) -> float:
     for i in range(1, n + 1):
         acc += triplet.m * c[i] * ex[i] * g[n - i]
     return float(acc)
-
-
-def exp_family_kn_mass(lam: float, x: float, n: int) -> float:
-    """K^n(x, E) = lambda^n exp(-n x) Gamma(lambda) / Gamma(lambda + n).
-
-    Evaluated in log space so large n or lambda cannot overflow.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1.0
-    log_val = n * math.log(lam) - n * x + gammaln(lam) - gammaln(lam + n)
-    return math.exp(log_val)

@@ -37,3 +37,36 @@ def test_probe_expression_cannot_run_code(capsys):
                "--seed", "1", "--w", 'expr:__import__("os").getpid()+0*y'])
     assert rc == 2
     assert "not allowed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv,flag", [
+    (["yaglom", "--n", "5", "--seed", "1", "--reps", "0"], "--reps"),
+    (["simulate", "--n", "5", "--seed", "1", "--reps", "-5"], "--reps"),
+    (["crosscheck", "--n", "5", "--seed", "1", "--reps", "0"], "--reps"),
+    (["simulate", "--n", "5", "--seed", "1", "--reps", "20",
+      "--workers", "-3"], "--workers"),
+    (["yaglom", "--n", "5", "--seed", "1", "--reps", "20",
+      "--workers", "0"], "--workers"),
+    (["limits", "--reps", "-4", "--seed", "1"], "--reps"),
+])
+def test_bad_count_flags_exit_2_naming_the_flag(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--triplet", SCALAR_CRIT])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be >= " in err
+    assert "Traceback" not in err
+
+
+def test_limits_reps_zero_means_off(capsys):
+    assert main(["limits", "--triplet", SCALAR_CRIT, "--grid", "10,20",
+                 "--reps", "0"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert not [t for t in report["tests"] if t["kind"] == "mc"]
+
+
+@pytest.mark.parametrize("sim", ["bgw", "cmj", "contour"])
+def test_negative_horizon_exits_2_for_every_simulator(sim, capsys):
+    assert main(["simulate", "--triplet", SCALAR_CRIT, "--n", "-1", "--reps",
+                 "3", "--seed", "1", "--simulator", sim]) == 2
+    assert "n must be >= 0" in capsys.readouterr().err
