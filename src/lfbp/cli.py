@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__, evolution, simulate, spectral, stats
-from .errors import (BracketError, PopulationCapError, RegimeError,
-                     TripletFormatError, WalkCapError)
+from .errors import (BracketError, PopulationCapError, QuadratureError,
+                     RegimeError, TripletFormatError, WalkCapError)
 from .typespace import (FAMILY_FINITE, LFTriplet, make_exp_triplet,
                         triplet_from_dict, triplet_to_dict)
 
@@ -412,6 +412,9 @@ def main(argv=None) -> int:
         print(f"lfbp {args.command}: simulation cap exceeded: {exc}",
               file=sys.stderr)
         return 3
+    except QuadratureError as exc:
+        print(f"lfbp {args.command}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

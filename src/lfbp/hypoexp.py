@@ -1,56 +1,108 @@
 """Hypoexponential distributions (sums of independent exponentials).
 
 The continuous-family n-step kernels and their gamma-mixtures are shifted
-hypoexponential laws with rate lists built from (lambda, mu). Densities use
-the partial-fraction form
+hypoexponential laws with rate lists built from (lambda, mu). They are
+evaluated by uniformization (Jensen 1953): for S = Exp(a_1) + ... + Exp(a_k)
+and q >= max a_i, S is the time of the N-th event of a rate-q Poisson
+process, where a discrete chain leaves phase i with probability a_i/q per
+event and N counts events up to absorption. Hence
 
-    pdf(t) = sum_i w_i a_i exp(-a_i t),   w_i = prod_{j != i} a_j / (a_j - a_i)
+    P(S > t) = sum_j Pois(qt; j) P(N > j),
+    pdf(t)   = sum_j Pois(qt; j) a_k P(in phase k after j events).
 
-whose weights alternate in sign and grow combinatorially, so they are
-computed once in 60-digit arithmetic (mpmath) and collapsed to float64.
-Repeated rates are split by a 1e-30 perturbation inside the high-precision
-pass; the induced density error is far below double precision. When the
-weight magnitude is too large for a float64 evaluation to be trustworthy the
-evaluators fall back to summing in mpmath.
+All terms are nonnegative: nothing cancels, and tied rates are no special
+case. Error bound: the chain runs until P(N > J) < 1e-18 and the Poisson
+weights cover mode +- (9 sqrt(qt) + 20), so truncation costs < 1e-18; each
+chain step and each weight carries only rounding of relative size ~1e-16.
+Against a 100-digit oracle, pdf and cdf agree to 1e-12 absolute for up to
+121 rates, tied or not (tests/test_quadrature_hypoexp.py).
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+import math
+from functools import cached_property, lru_cache
 
-import mpmath as mp
 import numpy as np
 
-from . import quadrature
-
-_DPS = 60
-_FLOAT64_SAFE = 1e10  # max sum|w| for pure float64 evaluation at ~1e-6 accuracy
+_TAIL = 1e-18   # jump-chain survival at which the series are cut
 
 
-@lru_cache(maxsize=4096)
-def _weights(rates: tuple[float, ...]):
-    """Partial-fraction weights for distinct (possibly perturbed) rates."""
-    with mp.workdps(_DPS):
-        a = [mp.mpf(r) for r in rates]
-        # split exact collisions; 1e-30 is invisible at double precision but
-        # huge relative to the 60-digit working precision
-        seen: dict = {}
-        for i, r in enumerate(a):
-            key = mp.nstr(r, 40)
-            if key in seen:
-                seen[key] += 1
-                a[i] = r * (1 + mp.mpf("1e-30") * seen[key])
-            else:
-                seen[key] = 0
-        w = []
-        for i, ai in enumerate(a):
-            num = mp.mpf(1)
-            for j, aj in enumerate(a):
-                if j != i:
-                    num *= aj / (aj - ai)
-            w.append(num)
-        cond = float(sum(abs(x) for x in w))
-        return a, w, cond
+@lru_cache(maxsize=64)
+def _jump_chain(rate_lists: tuple[tuple[float, ...], ...]):
+    """Uniformize every law in ``rate_lists`` at the common rate q = max rate.
+
+    Returns q and two J x C arrays, a_last P(in last phase after j events)
+    and P(N > j), one column per law; one stacked pass serves all laws.
+    """
+    sizes = np.array([len(r) for r in rate_lists])
+    a = np.concatenate(rate_lists)
+    q = float(a.max())
+    stay = (q - a) / q
+    move = a / q
+    ends = np.cumsum(sizes) - 1
+    starts = ends - sizes + 1
+    move[ends] = 0.0            # the last phase of a law moves to absorption
+    v = np.zeros(len(a))
+    v[starts] = 1.0
+    dens, surv = [], []
+    while True:
+        dens.append(a[ends] * v[ends])
+        surv.append(np.add.reduceat(v, starts))
+        if surv[-1].max() < _TAIL:
+            break
+        flow = move * v
+        v *= stay
+        v[1:] += flow[:-1]
+    return q, np.array(dens), np.array(surv)
+
+
+def _poisson_sum(x: float, seq: np.ndarray) -> float:
+    """sum_j e^{-x} x^j / j! seq_j for x >= 0; seq is zero past its end.
+
+    The weights run over mode +- (9 sqrt(x) + 20), are built as ratios to
+    the mode and normalized to sum to one.
+    """
+    if x == 0.0:
+        return float(seq[0])
+    m = int(x)
+    h = int(9.0 * math.sqrt(x)) + 20
+    lo = max(m - h, 0)
+    if lo >= len(seq):
+        return 0.0
+    up = np.cumsum(np.log(x / np.arange(m + 1, m + h + 1)))
+    down = np.cumsum(np.log(np.arange(m, lo, -1) / x))
+    w = np.exp(np.concatenate((down[::-1], [0.0], up)))
+    hi = min(m + h, len(seq) - 1)
+    return float(w[: hi - lo + 1] @ seq[lo: hi + 1]) / float(w.sum())
+
+
+class Uniformized:
+    """sum_c w_c Law(S_c) for hypoexponential S_c and signed weights w_c."""
+
+    def __init__(self, weights, rate_lists):
+        self.q, dens, surv = _jump_chain(tuple(rate_lists))
+        w = np.asarray(weights, dtype=float)
+        self.mass = float(w.sum())
+        self._dens = dens @ w
+        self._surv = surv @ w
+        J = len(dens)
+        # past this time Poisson(q t) exceeds J but with probability < 1e-18
+        self.horizon = (J + 9.0 * math.sqrt(J) + 41.0) / self.q
+
+    def _series(self, t, seq, before: float):
+        # sum_j Pois(qt; j) seq_j; past the horizon it is below 1e-18 (or t = inf)
+        t_arr = np.asarray(t, dtype=float)
+        vals = np.array([before if tk < 0 else 0.0 if tk > self.horizon
+                         else _poisson_sum(self.q * tk, seq)
+                         for tk in t_arr.ravel()]).reshape(t_arr.shape)
+        return float(vals) if t_arr.ndim == 0 else vals
+
+    def pdf(self, t):
+        return self._series(t, self._dens, 0.0)
+
+    def cdf(self, t):
+        return self.mass - self._series(t, self._surv, self.mass)
 
 
 class Hypoexp:
@@ -62,54 +114,17 @@ class Hypoexp:
         if any(r <= 0 for r in rates):
             raise ValueError("rates must be positive")
         self.rates = tuple(float(r) for r in rates)
-        self._mp_rates, self._mp_w, self.condition = _weights(self.rates)
-        self._a = np.array([float(x) for x in self._mp_rates])
-        self._w = np.array([float(x) for x in self._mp_w])
         self.mean = float(sum(1.0 / r for r in self.rates))
 
-    # -- exact pointwise laws ------------------------------------------------
+    @cached_property
+    def _law(self) -> Uniformized:
+        return Uniformized((1.0,), (self.rates,))
 
     def pdf(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        tv = np.atleast_1d(t_arr)
-        if self.condition <= _FLOAT64_SAFE:
-            ex = np.exp(-np.outer(self._a, np.maximum(tv, 0.0)))
-            vals = (self._w * self._a) @ ex
-            vals = np.where(tv < 0, 0.0, np.maximum(vals, 0.0))
-        else:
-            vals = self._mp_eval(tv, density=True)
-        return float(vals[0]) if scalar else vals
+        return self._law.pdf(t)
 
     def cdf(self, t):
-        t_arr = np.asarray(t, dtype=float)
-        scalar = t_arr.ndim == 0
-        tv = np.atleast_1d(t_arr)
-        if self.condition <= _FLOAT64_SAFE:
-            ex = np.exp(-np.outer(self._a, np.maximum(tv, 0.0)))
-            vals = 1.0 - self._w @ ex
-            vals = np.where(tv < 0, 0.0, np.clip(vals, 0.0, 1.0))
-        else:
-            vals = self._mp_eval(tv, density=False)
-        return float(vals[0]) if scalar else vals
-
-    def _mp_eval(self, tv, *, density: bool):
-        vals = np.empty(tv.shape)
-        with mp.workdps(_DPS):
-            for k, tk in enumerate(tv):
-                if tk < 0:
-                    vals[k] = 0.0
-                    continue
-                tm = mp.mpf(float(tk))
-                if density:
-                    s = mp.fsum(w * a * mp.exp(-a * tm)
-                                for w, a in zip(self._mp_w, self._mp_rates))
-                    vals[k] = max(float(s), 0.0)
-                else:
-                    s = mp.fsum(w * mp.exp(-a * tm)
-                                for w, a in zip(self._mp_w, self._mp_rates))
-                    vals[k] = min(max(float(1 - s), 0.0), 1.0)
-        return vals
+        return self._law.cdf(t)
 
     def mgf_neg(self, theta: float) -> float:
         """E[exp(-theta S)] for theta >= 0; stable product, no cancellation."""
@@ -117,37 +132,6 @@ class Hypoexp:
         for r in self.rates:
             out *= r / (r + theta)
         return out
-
-    # -- integration and sampling --------------------------------------------
-
-    def tail_cut(self, eps: float = 1e-14) -> float:
-        """T with P(S > T) < eps, found by doubling from the mean."""
-        T = max(self.mean * 4.0, 1.0)
-        for _ in range(60):
-            if 1.0 - self.cdf(T) < eps:
-                return T
-            T *= 1.5
-        return T
-
-    def expect(self, g, *, shift: float = 0.0, tol: float = 1e-10,
-               breaks=()) -> float:
-        """E[g(shift + S)] by Gauss-Legendre against the density.
-
-        ``breaks``: kink locations of g (in the shifted coordinate), so that
-        indicator-style integrands do not wreck the convergence rate.
-
-        The float64 density carries cancellation noise of order
-        eps * sum|w_i a_i|; the requested tolerance is floored at that
-        level times the integration length, else refinement stalls on
-        noise it can never beat.
-        """
-        T = self.tail_cut()
-        if self.condition <= _FLOAT64_SAFE:
-            noise = 2.3e-16 * float(np.abs(self._w * self._a).sum()) * T
-            tol = max(tol, 4.0 * noise)
-        return quadrature.density_weighted(lambda t: g(shift + t), self.pdf, T,
-                                           tol=tol,
-                                           breaks=[b - shift for b in breaks])
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Exact draws: sum of independent exponentials."""

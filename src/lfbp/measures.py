@@ -20,9 +20,13 @@ from __future__ import annotations
 import ast
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
+
+from . import quadrature
+from .hypoexp import Uniformized
 
 
 def as_array_callable(g) -> Callable[[np.ndarray], np.ndarray]:
@@ -116,19 +120,31 @@ class MixtureMeasure:
     def mass(self) -> float:
         return float(self.weights.sum())
 
+    @cached_property
+    def _laws(self) -> list:
+        """(shift, Uniformized law) for each distinct shift."""
+        groups: dict = {}
+        for w, comp, s in self._terms():
+            groups.setdefault(float(s), []).append((w, comp.rates))
+        return [(s, Uniformized(*zip(*g))) for s, g in groups.items()]
+
     def pdf(self, y):
-        y = np.asarray(y, dtype=float)
-        return sum(w * comp.pdf(y - s) for w, comp, s in self._terms())
+        return sum(law.pdf(np.subtract(y, s)) for s, law in self._laws)
 
     def cdf(self, y):
-        y = np.asarray(y, dtype=float)
-        return sum(w * comp.cdf(y - s) for w, comp, s in self._terms())
+        return sum(law.cdf(np.subtract(y, s)) for s, law in self._laws)
 
     def integrate(self, g, breaks=()) -> float:
-        """Integral of g by quadrature per component; ``breaks`` are kinks of g."""
+        """Integral of g in one adaptive integral of g times the signed density.
+
+        It spans the smallest shift to where every law has < 1e-18 of its mass
+        left, split at the shifts and at ``breaks`` (kinks of g), to 1e-13.
+        """
         gv = as_array_callable(g)
-        return float(sum(w * comp.expect(gv, shift=s, breaks=breaks)
-                         for w, comp, s in self._terms()))
+        return quadrature.integrate(lambda y: gv(y) * self.pdf(y),
+                                    float(self.shifts.min()),
+                                    max(s + law.horizon for s, law in self._laws),
+                                    tol=1e-13, points=(*self.shifts, *breaks))
 
     def integrate_exp_tilt(self, theta: float) -> float:
         """Integral of exp(-theta y), exact through the component MGFs."""

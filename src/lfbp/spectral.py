@@ -10,23 +10,25 @@ The generating function f(s) = sum_{n>=1} d_n s^n controls everything here:
 * u(x) = (1+m)(K^(R)(x, E) - 1) and nu = (m/(1+m)) gamma K^(R), satisfying
   M u = rho u, nu M = rho nu, nu(E) = 1, gamma(u) = (1+m)/m, nu(u) = beta.
 
-Root-finding is bracketed bisection on the monotone f; the Perron root of the
-mean matrix (power iteration) serves as an independent cross-oracle for 1/R
-in the finite family.
+Root-finding is bracketed bisection on the monotone f. In the finite family
+R_* = 1/rho for the largest Perron root rho over the strongly connected
+classes that gamma reaches (eigenvalues per class; 0 when no class has a
+cycle), and f is infinite from R_* on. Power iteration on the mean matrix
+serves as an independent cross-oracle for 1/R.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import hypoexp
 from .errors import BracketError
-from .measures import MixtureMeasure, VectorMeasure, as_array_callable
+from .measures import MixtureMeasure, VectorMeasure
 from .typespace import (FAMILY_EXP, FAMILY_FINITE, ExpFamilyTriplet,
-                        LFTriplet, kernel_power_mass, mean_apply)
+                        LFTriplet, kernel_power_mass)
 
 SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
@@ -55,9 +57,11 @@ class LifeLengthLaw:
         self.family = triplet.family
         self._d = triplet.d_sequence(64)
         if self.family == FAMILY_FINITE:
-            self._reach = _reachable_set(triplet.K, np.flatnonzero(triplet.gamma_vector > 0))
-            sub = triplet.K[np.ix_(self._reach, self._reach)]
-            self._rho_reach, _, _, _ = power_iteration(sub) if sub.size else (0.0, None, 0.0, 0)
+            # K and gamma on the gamma-reachable states, where f lives
+            reach = _reachable_set(triplet.K, np.flatnonzero(triplet.gamma_vector > 0))
+            self._K = triplet.K[np.ix_(reach, reach)]
+            self._gam = triplet.gamma_vector[reach]
+            self._rho_reach = _perron_root(self._K)
 
     def tails(self, n: int) -> np.ndarray:
         """d_0..d_n."""
@@ -77,25 +81,27 @@ class LifeLengthLaw:
 
         Exponential family: the coefficients decay factorially, so R_* is
         infinite. Finite family: 1 / (Perron root of K restricted to the
-        gamma-reachable states), by power iteration.
+        gamma-reachable states); infinite when that block is nilpotent.
         """
-        if self.family == FAMILY_EXP:
+        if self.family == FAMILY_EXP or self._rho_reach == 0.0:
             return math.inf
-        return math.inf if self._rho_reach < 1e-300 else 1.0 / self._rho_reach
+        return 1.0 / self._rho_reach
 
     def f_eval(self, s: float) -> float:
-        """f(s) = sum_{n>=1} d_n s^n; math.inf at or beyond the radius."""
+        """f(s) = sum_{n>=1} d_n s^n; math.inf at or beyond the radius.
+
+        Finite family: gamma reaches a class with Perron root rho = 1/R_*,
+        so d_n >= c rho^n and the series diverges at R_* (Perron-Frobenius).
+        """
         if s < 0:
             raise ValueError("s must be nonnegative")
         if s == 0.0:
             return 0.0
         if self.family == FAMILY_FINITE:
             if s >= self.radius():
-                return self._mass_at_radius(s)
-            K, gam = self._restricted()
-            eye = np.eye(K.shape[0])
-            w = np.linalg.solve(eye - s * K, np.ones(K.shape[0]))
-            return float(gam @ w - gam.sum())
+                return math.inf
+            w = np.linalg.solve(np.eye(len(self._gam)) - s * self._K, np.ones(len(self._gam)))
+            return float(self._gam @ w - self._gam.sum())
         return self._exp_series(s, derivative=False)
 
     def f_derivative(self, s: float) -> float:
@@ -107,11 +113,9 @@ class LifeLengthLaw:
         if self.family == FAMILY_FINITE:
             if s >= self.radius():
                 return math.inf
-            K, gam = self._restricted()
-            eye = np.eye(K.shape[0])
-            w = np.linalg.solve(eye - s * K, np.ones(K.shape[0]))
-            v = np.linalg.solve(eye - s * K, K @ w)
-            return float(gam @ v)
+            A = np.eye(len(self._gam)) - s * self._K
+            w = np.linalg.solve(A, np.ones(len(self._gam)))
+            return float(self._gam @ np.linalg.solve(A, self._K @ w))
         return self._exp_series(s, derivative=True)
 
     def mean(self) -> float:
@@ -153,32 +157,6 @@ class LifeLengthLaw:
 
     # -- internals ------------------------------------------------------------
 
-    def _restricted(self):
-        t = self.triplet
-        return (t.K[np.ix_(self._reach, self._reach)], t.gamma_vector[self._reach])
-
-    def _mass_at_radius(self, s: float) -> float:
-        """Partial-series proxy for f at or beyond the radius.
-
-        For the finite family the gamma-reachable Perron class makes d_n s^n
-        non-summable at s = R_*, so this reports math.inf unless the partial
-        sums are Cauchy within the budget (degenerate kernels).
-        """
-        if s > self.radius() * (1.0 + 1e-12):
-            return math.inf
-        total = 0.0
-        v = self.triplet.gamma_vector[self._reach].copy()
-        K, _ = self._restricted()
-        sn = 1.0
-        for _n in range(1, 20001):
-            v = v @ K
-            sn *= s
-            term = float(v.sum()) * sn
-            total += term
-            if term < 1e-16 * max(total, 1.0):
-                return total
-        return math.inf
-
     def _exp_series(self, s: float, derivative: bool) -> float:
         t: ExpFamilyTriplet = self.triplet
         lam, mu = t.lam, t.mu
@@ -196,19 +174,35 @@ class LifeLengthLaw:
         return total
 
 
+def _paths(K: np.ndarray) -> np.ndarray:
+    """Boolean matrix: j is reachable from i in one or more steps of K."""
+    reach = K > 0.0
+    for _ in range(max(K.shape[0] - 1, 0).bit_length()):   # path length 2^k >= d
+        reach |= (reach.astype(float) @ reach.astype(float)) > 0.0
+    return reach
+
+
 def _reachable_set(K: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """States reachable from ``start`` along positive entries of K."""
-    d = K.shape[0]
-    seen = np.zeros(d, dtype=bool)
-    stack = list(start)
+    """States reachable from ``start`` (included) along positive entries of K."""
+    seen = _paths(K)[start].any(axis=0)
     seen[start] = True
-    while stack:
-        i = stack.pop()
-        for j in np.flatnonzero(K[i] > 0.0):
-            if not seen[j]:
-                seen[j] = True
-                stack.append(j)
     return np.flatnonzero(seen)
+
+
+def _perron_root(K: np.ndarray) -> float:
+    """Spectral radius of a nonnegative K: the largest Perron root of its classes.
+
+    A strongly connected class is a set of mutually reachable states on a
+    cycle. States on no cycle contribute 0, so a nilpotent K gives exactly 0;
+    on a class the Perron root is a simple eigenvalue, found by eigvals.
+    """
+    reach = _paths(K)
+    rho = 0.0
+    for i in np.flatnonzero(np.diag(reach)):
+        cls = np.flatnonzero(reach[i] & reach[:, i])
+        if cls[0] == i:                    # each class once, at its first state
+            rho = max(rho, float(np.abs(np.linalg.eigvals(K[np.ix_(cls, cls)])).max()))
+    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +352,7 @@ def k_resolvent_mass(triplet: LFTriplet, x, s: float) -> float:
     if triplet.family == FAMILY_FINITE:
         reach = _reachable_set(triplet.K, np.array([x]))
         sub = triplet.K[np.ix_(reach, reach)]
-        rho, _, _, _ = power_iteration(sub)
+        rho = _perron_root(sub)
         if rho > 0 and s >= 1.0 / rho:
             return math.inf
         w = np.linalg.solve(np.eye(len(reach)) - s * sub, np.ones(len(reach)))
@@ -431,7 +425,7 @@ class Eigenpair:
         t = self.triplet
         if t.family == FAMILY_FINITE:
             return float(t.gamma_vector @ self.u_vector)
-        return t.gamma.integrate(as_array_callable(self.u))
+        return t.gamma.integrate(self.u)
 
     def u_nu_integral(self) -> float:
         """nu(u); identity value beta. Exact double series in the exp family."""
@@ -491,9 +485,11 @@ def eigen_residuals(triplet: LFTriplet, pair: Eigenpair, grid=None) -> dict:
         return {"right": right, "left": left}
     if grid is None:
         grid = [0.25, 0.5, 1.0, 2.0, 4.0]
-    u = as_array_callable(pair.u)
     umax = max(abs(pair.u(x)) for x in grid)
-    right = max(abs(mean_apply(t, u, x) - rho * pair.u(x)) for x in grid) / umax
+    # M(x, .) = e^{-x} (Law(x + Exp(lambda)) + m gamma)
+    laws = [hypoexp.Hypoexp((t.lam,)), hypoexp.Hypoexp((t.mu,))]
+    right = max(abs(math.exp(-x) * MixtureMeasure([1.0, t.m], laws, [x, 0.0]).integrate(pair.u)
+                    - rho * pair.u(x)) for x in grid) / umax
     lefts = []
     for T in (0.5, 1.0, 2.0):
         mu_side = _nu_M_indicator(t, pair, T)

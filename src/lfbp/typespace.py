@@ -29,10 +29,9 @@ from typing import Union
 
 import numpy as np
 
-from . import hypoexp, quadrature
+from . import hypoexp
 from .errors import TripletFormatError
-from .measures import (MixtureMeasure, VectorMeasure, as_array_callable,
-                       as_finite_vector)
+from .measures import MixtureMeasure, VectorMeasure
 from .recursions import g_sequence
 
 TypePoint = Union[int, float]
@@ -67,11 +66,6 @@ class FiniteKernel:
         row = self.K[x]
         return int(rng.choice(len(row), p=row / self.row_mass[x]))
 
-    def apply(self, g, x):
-        """Integral of g against K(x, .) (unnormalized)."""
-        gv = as_finite_vector(g, self.K.shape[0])
-        return float(self.K[x] @ gv)
-
 
 class ExpKernel:
     """K(x, A) = exp(-x) P(x + Y in A), Y ~ Exp(lambda)."""
@@ -86,11 +80,6 @@ class ExpKernel:
     def sample_marked(self, x, rng):
         """x + Exp(lambda), per entry when ``x`` is an array of parents."""
         return x + rng.exponential(1.0 / self.lam, size=np.shape(x) or None)
-
-    def apply(self, g, x):
-        gv = as_array_callable(g)
-        val = quadrature.exp_weighted(lambda t: gv(x + t), self.lam)
-        return math.exp(-x) * val
 
 
 # ---------------------------------------------------------------------------
@@ -319,12 +308,6 @@ class GenerationSnapshot:
     @property
     def size(self) -> int:
         return len(self.points)
-
-
-def mean_apply(triplet: LFTriplet, g, x: TypePoint) -> float:
-    """One application of the mean kernel: (Mg)(x) = (Kg)(x) + m K(x,E) gamma(g)."""
-    x = triplet.validate_point(x)
-    return triplet.kernel.apply(g, x) + triplet.m * triplet.kernel.mass(x) * triplet.gamma.integrate(g)
 
 
 def kernel_power_mass(triplet: LFTriplet, x: TypePoint, n: int) -> float:

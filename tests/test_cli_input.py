@@ -7,6 +7,8 @@ import pytest
 from lfbp.cli import main
 
 SCALAR_CRIT = json.dumps({"family": "scalar", "k": 0.5, "m": 1.0})
+EXP_CRIT = json.dumps({"family": "exp", "lambda": 1.2, "mu": 0.7,
+                       "m": 1.6595995495146982})
 
 
 @pytest.mark.parametrize("doc,field", [
@@ -70,3 +72,19 @@ def test_negative_horizon_exits_2_for_every_simulator(sim, capsys):
     assert main(["simulate", "--triplet", SCALAR_CRIT, "--n", "-1", "--reps",
                  "3", "--seed", "1", "--simulator", sim]) == 2
     assert "n must be >= 0" in capsys.readouterr().err
+
+
+def test_quadrature_failure_exits_4_naming_estimate_and_tol(monkeypatch, capsys):
+    from lfbp.errors import QuadratureError
+    from lfbp.measures import MixtureMeasure
+
+    def fail(self, g, breaks=()):
+        raise QuadratureError(0.25, 3.5e-9, 1e-13)
+
+    monkeypatch.setattr(MixtureMeasure, "integrate", fail)
+    rc = main(["yaglom", "--triplet", EXP_CRIT, "--n", "5", "--reps", "50",
+               "--seed", "1", "--w", "expr:np.minimum(y, 2)"])
+    assert rc == 4
+    err = capsys.readouterr().err
+    assert "estimate 3.500e-09 > tol 1.000e-13" in err
+    assert "Traceback" not in err and err.count("\n") == 1

@@ -1,5 +1,7 @@
 """The two measure classes and the exact probe dispatch."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,16 @@ def test_expr_probe_allows_numpy_arithmetic():
     assert np.allclose(probe("expr:np.ones_like(y)")(y), [1.0, 1.0])
     assert np.allclose(probe("expr:-1.0 * (y > 1) + 2 * y ** 2 / 4")(y),
                        [0.125, 1.0])
+
+
+def test_expr_probes_match_exact_paths_on_deep_kn():
+    kn = evolve(make_exp_triplet(1.3, 0.7, 1.5), 40).kn_measure(1.0)
+    assert abs(probe("expr:np.exp(-0.7*y)").apply(kn)
+               - probe("tilt:0.7").apply(kn)) <= 1e-12
+    assert abs(probe("expr:(y<=2.0)*1.0").apply(kn)
+               - probe("indicator:2.0").apply(kn)) <= 1e-12
+    t0 = time.perf_counter()
+    val = probe("expr:np.minimum(y,2)/3").apply(kn)
+    assert time.perf_counter() - t0 < 1.0
+    # min(y, 2)/3 lies between 0 and 2/3 on a nonnegative part of K_n
+    assert 0.0 < val < (2.0 / 3.0) * kn.mass()

@@ -7,7 +7,8 @@ import pytest
 
 from lfbp import quadrature, streams
 from lfbp.errors import QuadratureError
-from lfbp.hypoexp import Hypoexp, chain_law, gamma_chain_law
+from lfbp.hypoexp import Hypoexp, Uniformized, chain_law, gamma_chain_law
+from lfbp.measures import MixtureMeasure
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -84,7 +85,7 @@ def test_hypoexp_two_rates_closed_form():
 
 
 def test_hypoexp_repeated_rates_erlang():
-    # exact rate collisions are split at 1e-30 and evaluated in mpmath
+    # an exact rate collision needs no special case under uniformization
     h = Hypoexp((2.0, 2.0))
     t = 1.0
     assert abs(h.pdf(t) - 4.0 * t * math.exp(-2.0 * t)) < 1e-12
@@ -92,11 +93,10 @@ def test_hypoexp_repeated_rates_erlang():
 
 
 def test_hypoexp_near_degenerate_matches_degenerate():
-    # separation 1e-11 forces the high-precision path; must agree with the
-    # exactly repeated-rate law to far better than float64 cancellation noise
+    # separation 1e-11 must agree with the exactly repeated-rate law to far
+    # better than float64 cancellation noise
     ha = Hypoexp((1.0, 1.0 + 1e-11, 2.0))
     hb = Hypoexp((1.0, 1.0, 2.0))
-    assert ha.condition > 1e10
     for t in (0.1, 0.7, 2.0, 5.0):
         assert abs(ha.pdf(t) - hb.pdf(t)) < 1e-9
         assert abs(ha.cdf(t) - hb.cdf(t)) < 1e-9
@@ -107,7 +107,7 @@ def test_hypoexp_cdf_monotone_and_tail_cut():
     t = np.linspace(0.0, 30.0, 200)
     c = h.cdf(t)
     assert np.all(np.diff(c) >= -1e-15)
-    T = h.tail_cut()
+    T = Uniformized([1.0], [h.rates]).horizon
     assert 1.0 - h.cdf(T) < 1e-14
 
 
@@ -118,16 +118,18 @@ def test_hypoexp_mgf_matches_quadrature():
         for r in h.rates:
             want *= r / (r + theta)
         assert abs(h.mgf_neg(theta) - want) < 1e-15
-        got = h.expect(lambda t: np.exp(-theta * t))
+        got = MixtureMeasure([1.0], [h]).integrate(lambda t: np.exp(-theta * t))
         assert abs(got - want) < 1e-8
 
 
 def test_hypoexp_expect_mean_shift_and_breaks():
     h = chain_law(1.0, 4)
-    assert abs(h.expect(lambda t: t) - h.mean) < 1e-7
-    assert abs(h.expect(lambda t: t, shift=2.0) - (h.mean + 2.0)) < 1e-7
+    assert abs(MixtureMeasure([1.0], [h]).integrate(lambda t: t) - h.mean) < 1e-7
+    shifted = MixtureMeasure([1.0], [h], [2.0])
+    assert abs(shifted.integrate(lambda t: t) - (h.mean + 2.0)) < 1e-7
     q = 2.5
-    got = h.expect(lambda t: (t <= q).astype(float), breaks=(q,))
+    got = MixtureMeasure([1.0], [h]).integrate(lambda t: (t <= q).astype(float),
+                                               breaks=(q,))
     assert abs(got - h.cdf(q)) < 1e-8
 
 
@@ -176,3 +178,64 @@ def test_geometric_law():
     assert streams.geometric(rng, 0.0) == 0
     scalar = streams.geometric(rng, m)
     assert isinstance(scalar, int) and scalar >= 0
+
+
+# -- uniformized evaluator against a 100-digit oracle -------------------------
+
+ORACLE_T = np.concatenate(([0.0, 0.01, 0.1, 0.5], np.arange(1.0, 41.0)))
+
+
+def _beta_oracle(lam, n, ts):
+    """chain_law(lam, n): e^{-S} ~ Beta(lam, n), evaluated at 100 digits."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(100):
+        L = mp.mpf(lam)
+        B = mp.beta(L, n)
+        u = [1 - mp.exp(-mp.mpf(t)) for t in ts]
+        pdf = [mp.exp(-L * t) * ui ** (n - 1) / B for t, ui in zip(ts, u)]
+        cdf = [mp.betainc(n, L, 0, ui, regularized=True) for ui in u]
+    return np.array(pdf, dtype=float), np.array(cdf, dtype=float)
+
+
+def _partial_fraction_oracle(rates, ts):
+    """Partial fractions at 150 digits; a tied rate is split by a relative
+    1e-60, which moves the law by less than 1e-58 in total variation."""
+    mp = pytest.importorskip("mpmath")
+    with mp.workdps(150):
+        a = []
+        for r in rates:
+            x = mp.mpf(r)
+            while x in a:
+                x *= 1 + mp.mpf(10) ** -60
+            a.append(x)
+        w = [mp.fprod(aj / (aj - ai) for j, aj in enumerate(a) if j != i)
+             for i, ai in enumerate(a)]
+        pdf = [mp.fsum(wi * ai * mp.exp(-ai * t) for wi, ai in zip(w, a)) for t in ts]
+        cdf = [1 - mp.fsum(wi * mp.exp(-ai * t) for wi, ai in zip(w, a)) for t in ts]
+    return np.array(pdf, dtype=float), np.array(cdf, dtype=float)
+
+
+@pytest.mark.parametrize("r", [40, 80, 120])
+@pytest.mark.parametrize("lam,mu", [(1.3, 0.7), (1.5, 0.5)])   # lam - mu = 1 ties
+def test_uniformized_matches_high_precision_oracle(lam, mu, r):
+    chain = chain_law(lam, r)
+    want_pdf, want_cdf = _beta_oracle(lam, r, ORACLE_T)
+    assert np.abs(chain.pdf(ORACLE_T) - want_pdf).max() <= 1e-12
+    assert np.abs(chain.cdf(ORACLE_T) - want_cdf).max() <= 1e-12
+    gchain = gamma_chain_law(lam, mu, r)
+    assert (len(set(gchain.rates)) < len(gchain.rates)) == (lam - mu == 1.0)
+    want_pdf, want_cdf = _partial_fraction_oracle(gchain.rates, ORACLE_T)
+    assert np.abs(gchain.pdf(ORACLE_T) - want_pdf).max() <= 1e-12
+    assert np.abs(gchain.cdf(ORACLE_T) - want_cdf).max() <= 1e-12
+
+
+def test_mixture_pdf_cdf_is_weighted_component_sum():
+    comps = [gamma_chain_law(1.5, 0.5, r) for r in range(4)] + [chain_law(1.5, 4)]
+    w = np.array([0.4, -0.1, 0.3, 0.2, 0.7])
+    mix = MixtureMeasure(w, comps, [0.0, 0.0, 0.0, 0.0, 1.2])
+    y = np.array([0.0, 0.3, 1.2, 2.0, 5.0])
+    pdf = sum(wi * c.pdf(y - s) for wi, c, s in zip(w, comps, mix.shifts))
+    cdf = sum(wi * c.cdf(y - s) for wi, c, s in zip(w, comps, mix.shifts))
+    assert np.abs(mix.pdf(y) - pdf).max() < 1e-14
+    assert np.abs(mix.cdf(y) - cdf).max() < 1e-14
+    assert mix.cdf(np.inf) == mix.mass() and mix.pdf(np.inf) == 0.0

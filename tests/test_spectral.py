@@ -239,3 +239,31 @@ def test_criticality_matches_statistic(seed):
         assert s.criticality == "subcritical"
     else:
         assert s.criticality == "supercritical"
+
+
+# -- nilpotent reachable blocks: exact Perron root 0 ----------------------------------
+
+
+def test_nilpotent_two_type_is_r_positive_with_entire_f():
+    # f(s) = 0.5 s, so m f(R) = 1 at R = 2e5 and f is entire
+    t = make_finite_triplet([[0.0, 0.5], [0.0, 0.0]], [1.0, 0.0], 1e-5)
+    s = classify(t)
+    assert s.R_star == math.inf
+    assert s.recurrence == "R-positive"
+    assert abs(s.R - 2e5) < 1e-9 * 2e5
+    assert abs(s.beta - 1.0) < 1e-9
+
+
+def test_nilpotent_three_type_chain():
+    # f(s) = 0.5 s + 0.35 s^2; m f(R) = 1 is a quadratic in R
+    t = make_finite_triplet([[0.0, 0.5, 0.0], [0.0, 0.0, 0.7], [0.0, 0.0, 0.0]],
+                            [1.0, 0.0, 0.0], 0.5)
+    law = LifeLengthLaw(t)
+    assert law.radius() == math.inf
+    assert abs(law.f_eval(3.0) - (1.5 + 0.35 * 9.0)) < 1e-12
+    s = classify(t)
+    R = (-0.25 + math.sqrt(0.25 ** 2 + 4 * 0.175)) / (2 * 0.175)
+    assert s.R_star == math.inf and s.recurrence == "R-positive"
+    assert abs(s.R - R) < 1e-12
+    assert abs(s.beta - 0.5 * R * (0.5 + 0.7 * R)) < 1e-9
+    assert abs(spectral.k_resolvent_mass(t, 0, 10.0) - (1.0 + 5.0 + 0.35 * 100.0)) < 1e-12
