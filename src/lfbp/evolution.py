@@ -79,6 +79,7 @@ class GenerationLaw:
             raw / raw.sum(),
             [hypoexp.gamma_chain_law(t.lam, t.mu, r) for r in range(n)])
         self._mn_cache: dict[float, MixtureMeasure] = {}
+        self._kn_cache: dict[float, MixtureMeasure] = {}
 
     # -- mean kernel power -------------------------------------------------------
 
@@ -117,11 +118,14 @@ class GenerationLaw:
 
         Continuous family: the signed mixture over [chain at x, Q_0..Q_{n-1}].
         """
+        x = self.triplet.validate_point(x)
         if self.triplet.family == FAMILY_FINITE:
-            return VectorMeasure(self.Kn[self.triplet.validate_point(x)])
-        mp_ = self.mean_power(x)
-        frac = self.m_n / (1.0 + self.m_n)
-        return mp_ - (frac * mp_.mass()) * self.gamma_n
+            return VectorMeasure(self.Kn[x])
+        if x not in self._kn_cache:
+            mp_ = self.mean_power(x)
+            frac = self.m_n / (1.0 + self.m_n)
+            self._kn_cache[x] = mp_ - (frac * mp_.mass()) * self.gamma_n
+        return self._kn_cache[x]
 
     def kn_mass(self, x) -> float:
         """K_n(x, E); equals survival(x) because K_n keeps mass M^n(x, E)/(1 + m_n)."""

@@ -4,18 +4,27 @@ The continuous-family n-step kernels and their gamma-mixtures are shifted
 hypoexponential laws with rate lists built from (lambda, mu). They are
 evaluated by uniformization (Jensen 1953): for S = Exp(a_1) + ... + Exp(a_k)
 and q >= max a_i, S is the time of the N-th event of a rate-q Poisson
-process, where a discrete chain leaves phase i with probability a_i/q per
-event and N counts events up to absorption. Hence
+process, where a chain leaves phase i with probability a_i/q per event and
+N counts events up to absorption. Hence
 
     P(S > t) = sum_j Pois(qt; j) P(N > j),
     pdf(t)   = sum_j Pois(qt; j) a_k P(in phase k after j events).
 
-All terms are nonnegative: nothing cancels, and tied rates are no special
-case. Error bound: the chain runs until P(N > J) < 1e-18 and the Poisson
-weights cover mode +- (9 sqrt(qt) + 20), so truncation costs < 1e-18; each
-chain step and each weight carries only rounding of relative size ~1e-16.
-Against a 100-digit oracle, pdf and cdf agree to 1e-12 absolute for up to
-121 rates, tied or not (tests/test_quadrature_hypoexp.py).
+All terms are nonnegative, so nothing cancels and tied rates are no special
+case. The phases run from fastest to slowest (a_k), and q >= 2 a_k. The
+chain runs until all phases but the last hold < 1e-18; then phase k alone
+holds mass, decaying by rho = 1 - a_k/q per event, and it is followed for
+at most as many steps again. After those J steps it is spent (< 1e-18) or
+holds V with J |log rho| < 83, and the j >= J terms sum to
+V rho^-J e^(-a_k t) P(Pois(rho q t) >= J). So J grows with q over the
+second-slowest rate, not over a_k: a slow phase (small lambda or mu) costs
+nothing, and a rate list too spread for that is refused with ValueError.
+
+Error bound: truncation costs < 1e-18 (the weights cover mode +- (9 sqrt(qt)
++ 20)); each chain step and weight rounds at ~1e-16 relative, and rho^j is
+exp(j log rho), whose error does not grow with j. Against a 100-digit
+oracle, pdf and cdf agree to 1e-12 absolute for up to 121 rates, tied or
+not, and for rates down to 1e-6 (tests/test_quadrature_hypoexp.py).
 """
 
 from __future__ import annotations
@@ -24,37 +33,68 @@ import math
 from functools import cached_property, lru_cache
 
 import numpy as np
+from scipy.special import gammainc
 
-_TAIL = 1e-18   # jump-chain survival at which the series are cut
+_TAIL = 1e-18           # mass outside a law's last phase at which the chain stops
+_MAX_ENTRIES = 1 << 22  # jump-chain steps times laws kept in memory (64 MB)
 
 
 @lru_cache(maxsize=64)
 def _jump_chain(rate_lists: tuple[tuple[float, ...], ...]):
-    """Uniformize every law in ``rate_lists`` at the common rate q = max rate.
+    """Uniformize every law in ``rate_lists`` at one rate q, in one stacked pass.
 
-    Returns q and two J x C arrays, a_last P(in last phase after j events)
-    and P(N > j), one column per law; one stacked pass serves all laws.
+    Returns q and, one column per law, the J x C arrays a_k P(in phase k
+    after j events) and P(N > j), the last rates a_k and the masses V.
     """
-    sizes = np.array([len(r) for r in rate_lists])
-    a = np.concatenate(rate_lists)
-    q = float(a.max())
-    stay = (q - a) / q
-    move = a / q
-    ends = np.cumsum(sizes) - 1
-    starts = ends - sizes + 1
-    move[ends] = 0.0            # the last phase of a law moves to absorption
+    phases = [sorted(r, reverse=True) for r in rate_lists]
+    a = np.concatenate(phases)
+    ends = np.cumsum([len(r) for r in phases]) - 1
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    q = float(max(a.max(), 2.0 * a[ends].max()))
+    second = min((r[-2] for r in phases if len(r) > 1), default=q)
+    if 41.4 * q / second * len(phases) > _MAX_ENTRIES:   # steps to drain `second`
+        raise ValueError(f"hypoexponential rates too far apart: uniformizing at "
+                         f"rate {q:.3g} is {q / second:.3g} times the "
+                         f"second-slowest rate {second:.3g}")
+    stay, move = (q - a) / q, a / q
     v = np.zeros(len(a))
     v[starts] = 1.0
-    dens, surv = [], []
-    while True:
-        dens.append(a[ends] * v[ends])
-        surv.append(np.add.reduceat(v, starts))
-        if surv[-1].max() < _TAIL:
+    kept, into = [], []
+    while True:        # what reaches a last phase leaves v for its own sum
+        into.append(v[ends])
+        v[ends] = 0.0
+        kept.append(np.add.reduceat(v, starts))
+        if len(kept) > 1 and kept[-1].max() < _TAIL:
             break
         flow = move * v
         v *= stay
         v[1:] += flow[:-1]
-    return q, np.array(dens), np.array(surv)
+    # follow the last phases' pure decay for up to as many steps again: a
+    # phase then spent (< 1e-18) gets no tail term, the others keep J |log rho| < 83
+    log_rho = np.log1p(-a[ends] / q)
+    pad = np.zeros((min(len(kept) - 1, math.ceil(41.4 / -log_rho.max())), len(ends)))
+    last = _geometric_scan(np.vstack((into, pad)), log_rho)
+    spent = len(pad) * -log_rho >= 41.4
+    return (q, a[ends] * last[:-1], np.vstack((kept[:-1], pad)) + last[:-1],
+            a[ends], np.where(spent, 0.0, last[-1]))
+
+
+def _geometric_scan(into: np.ndarray, log_rho: np.ndarray):
+    """L_j = sum_{i <= j} into_i rho^(j-i) down each column.
+
+    rho^k is taken as exp(k log rho), not as a product of rounded rho's,
+    whose error would grow with j; blocks of 256 rows keep every power
+    below e^177 (rho >= 1/2).
+    """
+    out = np.empty_like(into)
+    prev = np.zeros(into.shape[1])
+    rho = np.exp(log_rho)
+    for b in range(0, len(into), 256):
+        k = np.arange(min(256, len(into) - b))[:, None] * log_rho
+        out[b: b + 256] = np.exp(k) * (
+            prev * rho + np.cumsum(into[b: b + 256] * np.exp(-k), axis=0))
+        prev = out[b + len(k) - 1]
+    return out
 
 
 def _poisson_sum(x: float, seq: np.ndarray) -> float:
@@ -81,28 +121,43 @@ class Uniformized:
     """sum_c w_c Law(S_c) for hypoexponential S_c and signed weights w_c."""
 
     def __init__(self, weights, rate_lists):
-        self.q, dens, surv = _jump_chain(tuple(rate_lists))
+        self.q, dens, surv, last, v_end = _jump_chain(tuple(rate_lists))
         w = np.asarray(weights, dtype=float)
         self.mass = float(w.sum())
-        self._dens = dens @ w
-        self._surv = surv @ w
-        J = len(dens)
-        # past this time Poisson(q t) exceeds J but with probability < 1e-18
-        self.horizon = (J + 9.0 * math.sqrt(J) + 41.0) / self.q
+        self._dens, self._surv = dens @ w, surv @ w
+        # the j >= J terms, one per distinct last rate that outlasts the chain
+        J, live = len(dens), v_end > 0.0
+        self._rates, inv = np.unique(last[live], return_inverse=True)
+        self._coef = np.bincount(inv, weights=(w * v_end)[live])
+        self._log_tail = -J * np.log1p(-self._rates / self.q)    # rho^-J
+        # past ``settle`` the j < J terms are below 1e-18; past ``horizon``
+        # every law has < 1e-18 of its own mass left
+        self.settle = (J + 9.0 * math.sqrt(J) + 41.0) / self.q
+        self.horizon = max([self.settle, *(
+            np.log(v_end[live] * np.maximum(last[live], 1.0)) + 41.5
+            - J * np.log1p(-last[live] / self.q)) / last[live]])
 
-    def _series(self, t, seq, before: float):
-        # sum_j Pois(qt; j) seq_j; past the horizon it is below 1e-18 (or t = inf)
+    def _at(self, t: float, seq: np.ndarray, scale) -> float:
+        x, J = self.q * t, len(seq)
+        out = _poisson_sum(x, seq)
+        if len(self._rates) and x + 9.0 * math.sqrt(x) + 20.0 >= J:
+            p = gammainc(J, (1.0 - self._rates / self.q) * x)
+            out += float(self._coef * scale @ (p * np.exp(self._log_tail - self._rates * t)))
+        return out
+
+    def _series(self, t, seq, scale, before: float):
+        # sum_j Pois(qt; j) seq_j, which is 0 at t = inf
         t_arr = np.asarray(t, dtype=float)
-        vals = np.array([before if tk < 0 else 0.0 if tk > self.horizon
-                         else _poisson_sum(self.q * tk, seq)
+        vals = np.array([before if tk < 0 else 0.0 if tk == math.inf
+                         else self._at(tk, seq, scale)
                          for tk in t_arr.ravel()]).reshape(t_arr.shape)
         return float(vals) if t_arr.ndim == 0 else vals
 
     def pdf(self, t):
-        return self._series(t, self._dens, 0.0)
+        return self._series(t, self._dens, self._rates, 0.0)
 
     def cdf(self, t):
-        return self.mass - self._series(t, self._surv, self.mass)
+        return self.mass - self._series(t, self._surv, 1.0, self.mass)
 
 
 class Hypoexp:

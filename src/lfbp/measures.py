@@ -138,13 +138,15 @@ class MixtureMeasure:
         """Integral of g in one adaptive integral of g times the signed density.
 
         It spans the smallest shift to where every law has < 1e-18 of its mass
-        left, split at the shifts and at ``breaks`` (kinks of g), to 1e-13.
+        left, split at the shifts, at ``breaks`` (kinks of g) and where only a
+        law's slowest phase is left. Error: QUADPACK's 1e-12 max(1, |I|), plus
+        1e-12 (the density's accuracy) times the integral of |g|.
         """
         gv = as_array_callable(g)
-        return quadrature.integrate(lambda y: gv(y) * self.pdf(y),
-                                    float(self.shifts.min()),
-                                    max(s + law.horizon for s, law in self._laws),
-                                    tol=1e-13, points=(*self.shifts, *breaks))
+        return quadrature.integrate(
+            lambda y: gv(y) * self.pdf(y), float(self.shifts.min()),
+            max(s + law.horizon for s, law in self._laws), tol=1e-12,
+            points=(*self.shifts, *(s + law.settle for s, law in self._laws), *breaks))
 
     def integrate_exp_tilt(self, theta: float) -> float:
         """Integral of exp(-theta y), exact through the component MGFs."""

@@ -58,10 +58,10 @@ class LifeLengthLaw:
         self._d = triplet.d_sequence(64)
         if self.family == FAMILY_FINITE:
             # K and gamma on the gamma-reachable states, where f lives
-            reach = _reachable_set(triplet.K, np.flatnonzero(triplet.gamma_vector > 0))
+            reach, paths = _reachable(triplet.K, np.flatnonzero(triplet.gamma_vector > 0))
             self._K = triplet.K[np.ix_(reach, reach)]
             self._gam = triplet.gamma_vector[reach]
-            self._rho_reach = _perron_root(self._K)
+            self._rho_reach = _perron_root(self._K, paths)
 
     def tails(self, n: int) -> np.ndarray:
         """d_0..d_n."""
@@ -182,24 +182,27 @@ def _paths(K: np.ndarray) -> np.ndarray:
     return reach
 
 
-def _reachable_set(K: np.ndarray, start: np.ndarray) -> np.ndarray:
-    """States reachable from ``start`` (included) along positive entries of K."""
-    seen = _paths(K)[start].any(axis=0)
+def _reachable(K: np.ndarray, start: np.ndarray):
+    """States reachable from ``start`` (included) along positive entries of K,
+    and the path closure on them, which is that of the restricted block."""
+    paths = _paths(K)
+    seen = paths[start].any(axis=0)
     seen[start] = True
-    return np.flatnonzero(seen)
+    reach = np.flatnonzero(seen)
+    return reach, paths[np.ix_(reach, reach)]
 
 
-def _perron_root(K: np.ndarray) -> float:
+def _perron_root(K: np.ndarray, paths: np.ndarray) -> float:
     """Spectral radius of a nonnegative K: the largest Perron root of its classes.
 
-    A strongly connected class is a set of mutually reachable states on a
-    cycle. States on no cycle contribute 0, so a nilpotent K gives exactly 0;
-    on a class the Perron root is a simple eigenvalue, found by eigvals.
+    A strongly connected class is a set of mutually reachable states (in the
+    path closure ``paths``) on a cycle. States on no cycle contribute 0, so a
+    nilpotent K gives exactly 0; on a class the Perron root is a simple
+    eigenvalue, found by eigvals.
     """
-    reach = _paths(K)
     rho = 0.0
-    for i in np.flatnonzero(np.diag(reach)):
-        cls = np.flatnonzero(reach[i] & reach[:, i])
+    for i in np.flatnonzero(np.diag(paths)):
+        cls = np.flatnonzero(paths[i] & paths[:, i])
         if cls[0] == i:                    # each class once, at its first state
             rho = max(rho, float(np.abs(np.linalg.eigvals(K[np.ix_(cls, cls)])).max()))
     return rho
@@ -350,9 +353,9 @@ def k_resolvent_mass(triplet: LFTriplet, x, s: float) -> float:
         raise ValueError("s must be nonnegative")
     x = triplet.validate_point(x)
     if triplet.family == FAMILY_FINITE:
-        reach = _reachable_set(triplet.K, np.array([x]))
+        reach, paths = _reachable(triplet.K, np.array([x]))
         sub = triplet.K[np.ix_(reach, reach)]
-        rho = _perron_root(sub)
+        rho = _perron_root(sub, paths)
         if rho > 0 and s >= 1.0 / rho:
             return math.inf
         w = np.linalg.solve(np.eye(len(reach)) - s * sub, np.ones(len(reach)))
@@ -378,7 +381,7 @@ def gamma_resolvent(triplet: LFTriplet, s: float):
     """
     if triplet.family == FAMILY_FINITE:
         K, gam = triplet.K, triplet.gamma_vector
-        reach = _reachable_set(K, np.flatnonzero(gam > 0))
+        reach, _ = _reachable(K, np.flatnonzero(gam > 0))
         sub = K[np.ix_(reach, reach)]
         out = np.zeros(K.shape[0])
         out[reach] = np.linalg.solve(np.eye(len(reach)) - s * sub.T, gam[reach])
@@ -487,9 +490,10 @@ def eigen_residuals(triplet: LFTriplet, pair: Eigenpair, grid=None) -> dict:
         grid = [0.25, 0.5, 1.0, 2.0, 4.0]
     umax = max(abs(pair.u(x)) for x in grid)
     # M(x, .) = e^{-x} (Law(x + Exp(lambda)) + m gamma)
-    laws = [hypoexp.Hypoexp((t.lam,)), hypoexp.Hypoexp((t.mu,))]
-    right = max(abs(math.exp(-x) * MixtureMeasure([1.0, t.m], laws, [x, 0.0]).integrate(pair.u)
-                    - rho * pair.u(x)) for x in grid) / umax
+    w = [1.0, *t.m * t.gamma.weights]
+    comps = [hypoexp.chain_law(t.lam, 1), *t.gamma.components]
+    right = max(abs(math.exp(-x) * MixtureMeasure(w, comps, [x, *t.gamma.shifts])
+                    .integrate(pair.u) - rho * pair.u(x)) for x in grid) / umax
     lefts = []
     for T in (0.5, 1.0, 2.0):
         mu_side = _nu_M_indicator(t, pair, T)
@@ -499,17 +503,9 @@ def eigen_residuals(triplet: LFTriplet, pair: Eigenpair, grid=None) -> dict:
 
 def _nu_M_indicator(t: ExpFamilyTriplet, pair: Eigenpair, T: float) -> float:
     """Integral of M(y, [0, T]) nu(dy) for the continuous family."""
-    lam, m = t.lam, t.m
-    gamma_mass = 1.0 - math.exp(-t.mu * T)
-
-    def k_ind(y):
-        y = np.asarray(y, dtype=float)
-        inside = np.exp(-y) * (1.0 - np.exp(-lam * np.maximum(T - y, 0.0)))
-        return np.where(y < T, inside, 0.0)
-
-    part_k = pair.nu.integrate(k_ind, breaks=(T,))
-    part_restart = m * gamma_mass * pair.nu.integrate_exp_tilt(1.0)
-    return part_k + part_restart
+    jump = hypoexp.chain_law(t.lam, 1)
+    part_k = pair.nu.integrate(lambda y: np.exp(-y) * jump.cdf(T - y), breaks=(T,))
+    return part_k + t.m * t.gamma.cdf(T) * pair.nu.integrate_exp_tilt(1.0)
 
 
 # ---------------------------------------------------------------------------

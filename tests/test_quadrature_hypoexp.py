@@ -1,14 +1,19 @@
 """Quadrature, hypoexponential laws, and seed-stream plumbing."""
 
 import math
+import time
 
 import numpy as np
 import pytest
 
 from lfbp import quadrature, streams
+from lfbp.cli import main
 from lfbp.errors import QuadratureError
+from lfbp.evolution import evolve
 from lfbp.hypoexp import Hypoexp, Uniformized, chain_law, gamma_chain_law
 from lfbp.measures import MixtureMeasure
+from lfbp.spectral import LifeLengthLaw
+from lfbp.typespace import make_exp_triplet
 
 
 # -- quadrature ---------------------------------------------------------------
@@ -239,3 +244,34 @@ def test_mixture_pdf_cdf_is_weighted_component_sum():
     assert np.abs(mix.pdf(y) - pdf).max() < 1e-14
     assert np.abs(mix.cdf(y) - cdf).max() < 1e-14
     assert mix.cdf(np.inf) == mix.mass() and mix.pdf(np.inf) == 0.0
+
+
+@pytest.mark.parametrize("lam,mu", [(1e-4, 1e-6), (1e-6, 1e-4), (1.0, 1e-6)])
+def test_uniformized_small_rates_match_oracle_quickly(lam, mu):
+    # a slow last phase is summed in closed form past the jump chain, so the
+    # chain length does not grow with 1/lambda or 1/mu
+    ts = np.concatenate((ORACLE_T, [1e2, 1e4, 1e6, 1e7]))
+    laws = [chain_law(lam, 40), gamma_chain_law(lam, mu, 40), Hypoexp((mu,))]
+    start = time.perf_counter()
+    got = [(h.pdf(ts), h.cdf(ts)) for h in laws]
+    gamma_n = evolve(make_exp_triplet(lam, mu, 0.5), 3).gamma_n
+    at_one = gamma_n.cdf(1.0)
+    assert time.perf_counter() - start < 2.0
+    for h, (pdf, cdf) in zip(laws, got):
+        want_pdf, want_cdf = _partial_fraction_oracle(h.rates, ts)
+        assert np.abs(pdf - want_pdf).max() <= 1e-12
+        assert np.abs(cdf - want_cdf).max() <= 1e-12
+    want = sum(w * _partial_fraction_oracle(c.rates, [1.0])[1][0]
+               for w, c in zip(gamma_n.weights, gamma_n.components))
+    assert abs(at_one - want) <= 1e-12
+
+
+def test_rates_too_far_apart_are_refused_naming_the_ratio(capsys):
+    with pytest.raises(ValueError, match="times the second-slowest rate"):
+        Hypoexp((1e7, 1.0, 2.0)).cdf(1.0)
+    m = 1.0 / LifeLengthLaw(make_exp_triplet(1.0, 1e7, 1.0)).f_eval(1.0)
+    doc = ('{"family": "exp", "lambda": 1.0, "mu": 1e7, "m": %r}' % m)
+    rc = main(["yaglom", "--triplet", doc, "--n", "5", "--reps", "20",
+               "--seed", "1", "--w", "indicator:1.0"])
+    err = capsys.readouterr().err
+    assert rc == 2 and "rates too far apart" in err and "Traceback" not in err

@@ -1,6 +1,7 @@
 """What the command line loads at run time, and the deep exp-family paths."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -29,6 +30,6 @@ print(json.dumps({{"lazy": lazy, "rcs": rcs, "mpmath": "mpmath" in sys.modules}}
 
 def test_cli_runs_without_mpmath_and_defers_scipy_integrate():
     out = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True,
-                         text=True, check=True, env={"PYTHONPATH": SRC})
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": SRC})
     got = json.loads(out.stdout.strip().splitlines()[-1])
     assert got == {"lazy": [], "rcs": [0, 0], "mpmath": False}
