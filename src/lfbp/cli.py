@@ -74,12 +74,15 @@ def _count(least: int):
     return count
 
 
-def _parse_floats(raw: str) -> list[float]:
-    return [float(p) for p in raw.split(",") if p.strip() != ""]
+def _tolerance(raw: str) -> float:
+    """argparse type: a positive finite float."""
+    if not 0.0 < float(raw) < np.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {raw}")
+    return float(raw)
 
 
-def _parse_ints(raw: str) -> list[int]:
-    return [int(p) for p in raw.split(",") if p.strip() != ""]
+def _parse_list(raw: str, kind=float) -> list:
+    return [kind(p) for p in raw.split(",") if p.strip() != ""]
 
 
 def _config(args, triplet=None, **extra) -> dict:
@@ -246,18 +249,10 @@ def cmd_crosscheck(args) -> int:
 def cmd_limits(args) -> int:
     t = parse_triplet(args.triplet)
     x = _parse_point(args.x, t)
-    kwargs: dict = {}
-    if args.grid:
-        kwargs["n_grid"] = _parse_ints(args.grid)
-    if args.tol is not None:
-        kwargs["tol"] = args.tol
-    if args.reps:
-        regime = spectral.classify(t).criticality
-        if regime in (spectral.CRITICAL, spectral.SUPERCRITICAL):
-            kwargs.update(reps=args.reps, seed=args.seed,
-                          workers=args.workers, w=args.w or "const")
-    report = stats.limit_report(t, x, **kwargs)
-    out = report.as_dict()
+    grid = _parse_list(args.grid, int) if args.grid else None
+    out = stats.limit_report(t, x, grid, args.tol or 1e-3, w=args.w or "const",
+                             reps=args.reps, seed=args.seed,
+                             workers=args.workers).as_dict()
     out["config"] = _config(args, t)
     _emit_json(out, args)
     return 0
@@ -269,35 +264,27 @@ def cmd_yaglom(args) -> int:
     if summary.criticality != spectral.CRITICAL:
         raise RegimeError(f"yaglom needs a critical triplet, got "
                           f"{summary.criticality}")
-    cond = stats.conditioned_scaled_sample(t, summary.R, args.n, args.n,
-                                           args.reps, args.seed,
-                                           args.w or "const", args.workers)
-    mean_derived = (1.0 + t.m) / summary.beta
+    measured, rows = stats.yaglom_rows(t, summary, args.n, args.reps, args.seed,
+                                       args.w or "const", args.workers)
+    mean, ks = rows[0], rows[-1]
     report = {"schema": JSON_SCHEMA, "config": _config(args, t),
-              "n": args.n, "reps": args.reps, "conditioned": int(len(cond)),
-              "survival_rate": len(cond) / args.reps,
-              "mean": {"printed": 1.0 + t.m, "derived": mean_derived,
-                       "measured": float(cond.mean()) if len(cond) else None}}
-    if len(cond) < stats.YAGLOM_MIN:
+              "n": args.n, "reps": args.reps, "conditioned": mean.sample_size,
+              "survival_rate": mean.sample_size / args.reps,
+              "mean": {"printed": 1.0 + t.m, "derived": mean.target,
+                       "measured": measured}}
+    if mean.passed is None:
         report["verdict"] = "insufficient power"
     else:
-        mean, se = stats.mc_mean_se(cond)
-        d, pv = stats.ks_one_sample(
-            cond, lambda v: 1.0 - np.exp(-np.asarray(v) / mean_derived))
-        report["se"] = se
-        report["ks_stat"] = d
-        report["p_value"] = pv
-        report["verdict"] = ("pass" if pv > 0.01
-                             and abs(mean - mean_derived) <= 3 * se else "fail")
+        report.update(se=mean.se, ks_stat=ks.statistic, p_value=ks.value,
+                      verdict="pass" if mean.passed and ks.passed else "fail")
     _emit_json(report, args)
     return 0
 
 
 def cmd_renewal(args) -> int:
-    a = _parse_floats(args.a)
-    b = _parse_floats(args.b)
-    r = stats.renewal_sequence(a, b, args.n,
-                               rel=args.tol if args.tol else 1e-3)
+    a = _parse_list(args.a)
+    b = _parse_list(args.b)
+    r = stats.renewal_sequence(a, b, args.n, rel=args.tol or 1e-3)
     if args.format == "csv":
         cfg = _config(args, None, a=a, b=b)
         rows = [(k, float(c)) for k, c in enumerate(r.c)]
@@ -323,7 +310,7 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, triplet=True, seed=False, reps=False, n=False):
+    def common(p, triplet=True, seed=False, reps=False, n=None):
         if triplet:
             p.add_argument("--triplet", required=True,
                            help="inline JSON or path to a JSON file")
@@ -333,12 +320,12 @@ def _build_parser() -> argparse.ArgumentParser:
         if reps:
             p.add_argument("--reps", type=_count(1), required=True)
         if n:
-            p.add_argument("--n", type=int, required=True,
+            p.add_argument("--n", type=n, required=True,
                            help="generation horizon")
         p.add_argument("--out", help="output path (default stdout)")
         p.add_argument("--format", choices=("json", "csv"), default="json")
         p.add_argument("--workers", type=_count(1), default=1)
-        p.add_argument("--tol", type=float, default=None)
+        p.add_argument("--tol", type=_tolerance, default=None)
 
     p = sub.add_parser("classify", help="criticality, R, rho, alpha, beta, E[L]")
     common(p)
@@ -354,18 +341,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_phase_grid, format="csv")
 
     p = sub.add_parser("survive", help="exact P_x(Z_n > 0)")
-    common(p, n=True)
+    common(p, n=int)
     p.add_argument("--x", help="ancestor type (index, default 0; or real, default 1.0)")
     p.set_defaults(fn=cmd_survive)
 
     p = sub.add_parser("distribution",
                        help="exact generation-n law: m_n, survival, functionals")
-    common(p, n=True)
+    common(p, n=int)
     p.add_argument("--x", help="ancestor type (index, default 0; or real, default 1.0)")
     p.set_defaults(fn=cmd_distribution)
 
     p = sub.add_parser("simulate", help="per-replicate Z_n CSV")
-    common(p, seed=True, reps=True, n=True)
+    common(p, seed=True, reps=True, n=int)
     p.add_argument("--simulator", choices=simulate.SIMULATORS, default="bgw")
     p.add_argument("--start", default="gamma",
                    help="'gamma' or an ancestor type (bgw only)")
@@ -373,7 +360,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crosscheck",
                        help="pairwise KS table across the three simulators")
-    common(p, seed=True, reps=True, n=True)
+    common(p, seed=True, reps=True, n=int)
     p.set_defaults(fn=cmd_crosscheck)
 
     p = sub.add_parser("limits", help="regime limit-theorem verification report")
@@ -388,12 +375,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("yaglom",
                        help="conditioned scaled-population law vs exponential")
-    common(p, seed=True, reps=True, n=True)
+    common(p, seed=True, reps=True, n=_count(1))
     p.add_argument("--w", help="probe (default const)")
     p.set_defaults(fn=cmd_yaglom)
 
     p = sub.add_parser("renewal", help="c_n = b_n + sum a_k c_{n-k} utility")
-    common(p, triplet=False, n=True)
+    common(p, triplet=False, n=_count(0))
     p.add_argument("--a", required=True, help="comma list, lag 1 first")
     p.add_argument("--b", required=True, help="comma list, lag 0 first")
     p.set_defaults(fn=cmd_renewal)

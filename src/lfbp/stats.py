@@ -1,8 +1,11 @@
 """Limit-theorem verifiers and statistical diagnostics.
 
-Three regimes, three verifiers. Each builds the exact finite-n quantities
-from the evolution engine, extrapolates, and compares against two candidate
-limit constants wherever they disagree:
+One verifier serves the three regimes. It builds the exact finite-n
+quantities from the evolution engine on an n-grid and takes the value at the
+last grid point as the measured limit; only the critical rows are
+Richardson-extrapolated, and only when the last grid point doubles the one
+before. It compares that limit against two candidate constants wherever
+they disagree:
 
 * ``derived``: the constant implied by the eigenpair identities
   (gamma(u) = (1+m)/m, nu(u) = beta) together with the Perron asymptotics
@@ -32,7 +35,7 @@ from scipy import special
 
 from .errors import RegimeError
 from .evolution import evolve, survival_prob
-from .measures import Probe, probe
+from .measures import probe
 from .simulate import DEFAULT_CAP, bgw_generation, replicate_map
 from .spectral import (CRITICAL, SUBCRITICAL, SUPERCRITICAL, NuMeasure,
                        classify, eigen_build, gamma_resolvent)
@@ -172,8 +175,8 @@ def renewal_sequence(a, b, n_max: int, rel: float = _CONV_REL) -> RenewalSequenc
     """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
-    if np.any(a < 0.0) or np.any(b < 0.0):
-        raise ValueError("renewal coefficients must be nonnegative")
+    if not all(np.all(np.isfinite(v) & (v >= 0.0)) for v in (a, b)):
+        raise ValueError("renewal coefficients must be finite and nonnegative")
     if abs(a.sum() - 1.0) > 1e-12:
         raise ValueError(f"a must sum to 1 (got {a.sum()!r})")
     support = np.flatnonzero(a > 0.0) + 1
@@ -234,6 +237,7 @@ class CheckRow:
     sample_size: int | None = None
     se: float | None = None
     note: str = ""
+    statistic: float | None = None   # KS distance; the note states it rounded
 
     def as_dict(self) -> dict:
         out = {"name": self.name, "target": self.target, "value": self.value,
@@ -271,99 +275,23 @@ class LimitReport:
                 "converged": self.converged, "notes": self.notes}
 
 
-def _certify_and_refute(tests: list, name: str, measured: float,
-                        derived: float, printed: float, tol: float):
-    """Certify the derived constant, refute the printed one when separable."""
-    scale = max(1.0, abs(derived))
-    tests.append(CheckRow(f"{name} matches derived constant", derived,
-                          measured, tol, abs(measured - derived) <= tol * scale))
-    if abs(printed - derived) <= 10.0 * tol * scale:
-        tests.append(CheckRow(f"{name} printed constant indistinguishable",
-                              printed, measured, tol, None, kind="refutation",
-                              note="printed and derived coincide here"))
-    else:
-        tests.append(CheckRow(f"{name} refutes printed constant", printed,
-                              measured, tol,
-                              abs(measured - printed) > 10.0 * tol * scale,
-                              kind="refutation",
-                              note="pass means the printed value is excluded"))
+def _withheld(name: str, target: float, size: int) -> list[CheckRow]:
+    """The only row of a Monte Carlo check with fewer than YAGLOM_MIN samples."""
+    return [CheckRow(name, target, None, 0.0, None, kind="mc",
+                     sample_size=size, note="insufficient power")]
 
 
-def _conditional_functional(law, x, p: Probe) -> float:
-    """E[prod h(child types) | Z_n > 0] from the generation-n triplet."""
-    denom = 1.0 + law.m_n - law.m_n * p.apply(law.gamma_n)
-    return p.apply(law.kn_measure(x)) / (law.survival(x) * denom)
+def _ks_row(name: str, sample, cdf) -> CheckRow:
+    """One-sample KS row against ``cdf``; passes at p > 0.01."""
+    d, p = ks_one_sample(sample, cdf)
+    return CheckRow(name, 0.01, p, 0.0, p > 0.01, kind="mc",
+                    sample_size=len(sample), note=f"ks statistic {d:.5f}",
+                    statistic=d)
 
 
 # ---------------------------------------------------------------------------
 # regime verifiers
 # ---------------------------------------------------------------------------
-
-def _require(summary, regime: str):
-    if summary.criticality != regime:
-        raise RegimeError(f"triplet is {summary.criticality}, verifier needs {regime}")
-
-
-def limit_subcritical(triplet: LFTriplet, x, n_grid=None,
-                      probes=("const:0.6",), tol: float = 1e-3) -> LimitReport:
-    """Verify the three subcritical limits on an exact n-grid.
-
-    (i) rho^{-n} P_x(Z_n > 0) -> (1 - m f(1)) u(x) / ((1+m) beta);
-    (ii) m_n -> m (1 + f(1)) / (1 - m f(1));
-    (iii) the conditional law converges to the limit triplet, checked
-    through E[prod h | Z_n > 0] at the given probes.
-    """
-    summary = classify(triplet)
-    _require(summary, SUBCRITICAL)
-    pair = eigen_build(triplet, summary)
-    m, R, beta, f1, mf1 = triplet.m, summary.R, summary.beta, summary.f1, summary.mf1
-    ux = pair.u(x)
-    surv_limit = (1.0 - mf1) * ux / ((1.0 + m) * beta)
-    m_tilde = m * (1.0 + f1) / (1.0 - mf1)
-    gamma_tilde, kappa_tilde = limit_triplet_measures(triplet, R, f1, mf1)
-
-    if n_grid is None:
-        n_grid = (10, 20, 30, 40, 50, 60)
-    n_grid = sorted(int(n) for n in n_grid)
-    probes = [probe(p) if isinstance(p, str) else p for p in probes]
-
-    scaled, mns = [], []
-    cond = {p.spec: [] for p in probes}
-    for n in n_grid:
-        law = evolve(triplet, n)
-        scaled.append(survival_prob(triplet, x, n) * R ** n)  # rho^-n = R^n
-        mns.append(law.m_n)
-        for p in probes:
-            cond[p.spec].append(_conditional_functional(law, x, p))
-    rows = {"n_survival_scaled": scaled, "m_n": mns}
-    rows.update({f"conditional:{k}": v for k, v in cond.items()})
-
-    tests: list[CheckRow] = []
-    constants = {
-        "survival_scale": {"printed": surv_limit, "derived": surv_limit,
-                           "measured": scaled[-1]},
-        "limit_mean": {"printed": m_tilde, "derived": m_tilde,
-                       "measured": mns[-1]},
-    }
-    tests.append(CheckRow("rho^-n survival -> (1-mf(1)) u / ((1+m) beta)",
-                          surv_limit, scaled[-1], tol,
-                          abs(scaled[-1] - surv_limit) <= tol))
-    tests.append(CheckRow("m_n -> m(1+f(1))/(1-mf(1))", m_tilde, mns[-1], tol,
-                          abs(mns[-1] - m_tilde) <= tol * max(1.0, m_tilde)))
-    tests.append(CheckRow("limit kernel has mass one", 1.0, kappa_tilde.mass(),
-                          1e-9, abs(kappa_tilde.mass() - 1.0) <= 1e-9))
-    for p in probes:
-        denom = 1.0 + m_tilde - m_tilde * p.apply(gamma_tilde)
-        target = p.apply(kappa_tilde) / denom
-        got = cond[p.spec][-1]
-        constants[f"conditional:{p.spec}"] = {"printed": target,
-                                              "derived": target, "measured": got}
-        tests.append(CheckRow(f"conditional functional at {p.spec}", target,
-                              got, tol, abs(got - target) <= tol))
-
-    converged = {k: detect_convergence(v)[0] for k, v in rows.items()}
-    return LimitReport(SUBCRITICAL, constants, tests, n_grid, rows, converged)
-
 
 def _generation_sum(triplet, n, w_spec, cap):
     """Per-replicate sum of w over the generation-n types."""
@@ -408,94 +336,228 @@ def conditioned_scaled_sample(triplet: LFTriplet, R: float, n: int,
     return vals[vals > 0.0] / denom
 
 
+def yaglom_rows(triplet: LFTriplet, summary, n: int, reps: int,
+                seed: int | None, w: str = "const", workers: int = 1):
+    """The critical Yaglom check at generation n: (sample mean or None, rows).
+
+    The sample is the surviving replicates of sum of w, scaled by n nu(w).
+    Rows: its mean within 3 se of (1+m)/beta, the printed mean 1+m refuted
+    when 3 se separate the two, and KS against Exp(mean (1+m)/beta); below
+    YAGLOM_MIN samples a single withheld row. Every row's sample_size is the
+    number of surviving replicates.
+    """
+    cond = conditioned_scaled_sample(triplet, summary.R, n, n, reps, seed, w,
+                                     workers)
+    derived, printed = (1.0 + triplet.m) / summary.beta, 1.0 + triplet.m
+    measured = float(cond.mean()) if len(cond) else None
+    if len(cond) < YAGLOM_MIN:
+        return measured, _withheld("yaglom scaled mean", derived, len(cond))
+    mean, se = mc_mean_se(cond)
+    rows = [CheckRow("yaglom scaled mean (3 se)", derived, mean, 3.0 * se,
+                     abs(mean - derived) <= 3.0 * se, kind="mc",
+                     sample_size=len(cond), se=se)]
+    if abs(printed - derived) > 3.0 * se:
+        rows.append(CheckRow("yaglom mean refutes printed 1+m", printed, mean,
+                             3.0 * se, abs(mean - printed) > 3.0 * se,
+                             kind="refutation", sample_size=len(cond), se=se))
+    rows.append(_ks_row("yaglom KS vs Exp(derived mean), p > 0.01", cond,
+                        lambda v: 1.0 - np.exp(-np.asarray(v) / derived)))
+    return measured, rows
+
+
+class _Verifier:
+    """One limit-theorem verifier: shared setup, row bookkeeping, and the
+    exact and Monte Carlo checks of each regime."""
+
+    def __init__(self, triplet: LFTriplet, x, summary, regime: str, n_grid,
+                 tol: float):
+        if summary.criticality != regime:
+            raise RegimeError(f"triplet is {summary.criticality}, "
+                              f"verifier needs {regime}")
+        self.t, self.x, self.s, self.tol = triplet, x, summary, tol
+        self.ux = eigen_build(triplet, summary).u(x)
+        if n_grid is None:
+            n_grid = ((25, 50, 100, 200, 400, 800) if regime == CRITICAL
+                      else (10, 20, 30, 40, 50, 60))
+        g = self.n_grid = sorted(int(n) for n in n_grid)
+        # the grid rule: non-empty, n >= 1, R^n and rho^n finite in float64
+        if not g:
+            raise ValueError("--grid needs at least one n")
+        if g[0] < 1:
+            raise ValueError(f"--grid n = {g[0]}: every n must be >= 1")
+        depth = g[-1] * abs(math.log(summary.R))
+        if not depth < 700.0:
+            raise ValueError(f"--grid n = {g[-1]}: R^n leaves float64 range "
+                             f"(n |ln R| = {depth:.4g}, must be < 700)")
+        # the 1/n Richardson step suits only the critical expansion
+        self.richardson = (regime == CRITICAL and len(g) >= 2
+                           and g[-1] == 2 * g[-2])
+        self.report = LimitReport(regime, {}, [], g)
+
+    def exact(self, row: str, constant: str, name: str, values: list,
+              derived: float, printed: float | None = None,
+              absolute: bool = False):
+        """Record an exact row, its measured limit and its verdict rows.
+
+        A printed variant also gets a row refuting it where 10 tol separates
+        it from ``derived``. Tolerances scale with max(1, |derived|) unless
+        ``absolute``.
+        """
+        rep, tol = self.report, self.tol
+        rep.rows[row] = values
+        rep.converged[row] = detect_convergence(values)[0]
+        measured = (richardson(values[-2], values[-1]) if self.richardson
+                    else values[-1])
+        rep.constants[constant] = {
+            "printed": derived if printed is None else printed,
+            "derived": derived, "measured": measured}
+        scale = 1.0 if absolute else max(1.0, abs(derived))
+        rep.tests.append(CheckRow(
+            name if printed is None else f"{name} matches derived constant",
+            derived, measured, tol, abs(measured - derived) <= tol * scale))
+        if printed is None:
+            return
+        separable = 10.0 * tol * scale
+        if abs(printed - derived) <= separable:
+            verb, passed, note = ("printed constant indistinguishable", None,
+                                  "printed and derived coincide here")
+        else:
+            verb, passed, note = ("refutes printed constant",
+                                  abs(measured - printed) > separable,
+                                  "pass means the printed value is excluded")
+        rep.tests.append(CheckRow(f"{name} {verb}", printed, measured, tol,
+                                  passed, kind="refutation", note=note))
+
+    def monte_carlo(self, rows: list[CheckRow], check: str):
+        """Append Monte Carlo rows; a withheld verdict also gets a note."""
+        self.report.tests += rows
+        if rows[0].passed is None:
+            self.report.notes.append(
+                f"insufficient power: {rows[0].sample_size} conditioned "
+                f"samples < {YAGLOM_MIN}; {check} verdict withheld")
+
+    def subcritical(self, probes) -> LimitReport:
+        t, x, s = self.t, self.x, self.s
+        m, R, f1, mf1 = t.m, s.R, s.f1, s.mf1
+        surv_limit = (1.0 - mf1) * self.ux / ((1.0 + m) * s.beta)
+        m_tilde = m * (1.0 + f1) / (1.0 - mf1)
+        gamma_tilde, kappa_tilde = limit_triplet_measures(t, R, f1, mf1)
+        probes = [probe(p) if isinstance(p, str) else p for p in probes]
+
+        scaled, mns = [], []
+        cond = {p.spec: [] for p in probes}
+        for n in self.n_grid:
+            law = evolve(t, n)
+            scaled.append(survival_prob(t, x, n) * R ** n)  # rho^-n = R^n
+            mns.append(law.m_n)
+            for p in probes:  # E[prod h(child types) | Z_n > 0]
+                denom = 1.0 + law.m_n - law.m_n * p.apply(law.gamma_n)
+                cond[p.spec].append(p.apply(law.kn_measure(x))
+                                    / (law.survival(x) * denom))
+
+        self.exact("n_survival_scaled", "survival_scale",
+                   "rho^-n survival -> (1-mf(1)) u / ((1+m) beta)", scaled,
+                   surv_limit, absolute=True)
+        self.exact("m_n", "limit_mean", "m_n -> m(1+f(1))/(1-mf(1))", mns,
+                   m_tilde)
+        mass = kappa_tilde.mass()
+        self.report.tests.append(CheckRow("limit kernel has mass one", 1.0,
+                                          mass, 1e-9, abs(mass - 1.0) <= 1e-9))
+        for p in probes:
+            denom = 1.0 + m_tilde - m_tilde * p.apply(gamma_tilde)
+            key = f"conditional:{p.spec}"
+            self.exact(key, key, f"conditional functional at {p.spec}",
+                       cond[p.spec], p.apply(kappa_tilde) / denom,
+                       absolute=True)
+        return self.report
+
+    def critical(self, w, reps, seed, workers) -> LimitReport:
+        t, x, m, s = self.t, self.x, self.t.m, self.s
+        self.exact("n_survival", "n_survival", "n * survival",
+                   [n * survival_prob(t, x, n) for n in self.n_grid],
+                   self.ux / (1.0 + m), printed=s.beta * self.ux / (1.0 + m))
+        self.exact("m_n_over_n", "mean_slope", "m_n / n -> (1+m)/beta",
+                   [evolve(t, n).m_n / n for n in self.n_grid],
+                   (1.0 + m) / s.beta)
+        yag = self.report.constants["yaglom_mean"] = {
+            "printed": 1.0 + m, "derived": (1.0 + m) / s.beta, "measured": None}
+        if reps > 0:
+            yag["measured"], rows = yaglom_rows(t, s, self.n_grid[-1], reps,
+                                                seed, w, workers)
+            self.monte_carlo(rows, "Yaglom")
+        return self.report
+
+    def supercritical(self, w, reps, seed, workers) -> LimitReport:
+        t, x, m = self.t, self.x, self.t.m
+        beta, R, rho = self.s.beta, self.s.R, self.s.rho
+        surv_derived = (rho - 1.0) * self.ux / (1.0 + m)
+        mass_derived = (1.0 + m) / (beta * (rho - 1.0))
+        rate_derived = 1.0 / mass_derived
+        self.exact("survival", "survival", "survival limit",
+                   [survival_prob(t, x, n) for n in self.n_grid], surv_derived,
+                   printed=beta * surv_derived)
+        self.exact("mn_scaled", "mn_scaled",
+                   "rho^-n m_n -> (1+m)/(beta (rho-1))",
+                   [evolve(t, n).m_n * R ** n for n in self.n_grid],
+                   mass_derived)
+        tail = self.report.constants["tail_rate"] = {
+            "printed": rate_derived, "derived": rate_derived, "measured": None}
+        if reps <= 0:
+            return self.report
+        # expected particle-generations per replicate ~ growth rho^(n+1)/(rho-1);
+        # clamp n so the whole run stays near a fixed work budget of 5e7
+        growth = (1.0 + m) / (m * beta)
+        n_star = self.n_grid[-1]
+        while n_star > 4 and reps * growth * rho ** (n_star + 1) / (rho - 1.0) > 5e7:
+            n_star -= 1
+        if n_star < self.n_grid[-1]:
+            self.report.notes.append(f"tail check run at n = {n_star} to keep "
+                                     "the simulation budget bounded")
+        cond = conditioned_scaled_sample(t, R, n_star, rho ** n_star, reps,
+                                         seed, w, workers)
+        if len(cond) < YAGLOM_MIN:
+            rows = _withheld("tail rate", rate_derived, len(cond))
+        else:
+            mean, se = mc_mean_se(cond)
+            rate = tail["measured"] = 1.0 / mean
+            rate_se = se / mean ** 2     # delta method
+            rows = [CheckRow("tail rate matches derived (4 se)", rate_derived,
+                             rate, 4.0 * rate_se,
+                             abs(rate - rate_derived) <= 4.0 * rate_se,
+                             kind="mc", sample_size=len(cond), se=rate_se),
+                    _ks_row("tail KS vs fitted exponential, p > 0.01", cond,
+                            lambda u: 1.0 - np.exp(-rate * np.asarray(u)))]
+        self.monte_carlo(rows, "tail")
+        return self.report
+
+
+def limit_subcritical(triplet: LFTriplet, x, n_grid=None,
+                      probes=("const:0.6",), tol: float = 1e-3) -> LimitReport:
+    """Verify the three subcritical limits on an exact n-grid.
+
+    (i) rho^{-n} P_x(Z_n > 0) -> (1 - m f(1)) u(x) / ((1+m) beta);
+    (ii) m_n -> m (1 + f(1)) / (1 - m f(1));
+    (iii) the conditional law converges to the limit triplet, checked
+    through E[prod h | Z_n > 0] at the given probes.
+    """
+    return _Verifier(triplet, x, classify(triplet), SUBCRITICAL, n_grid,
+                     tol).subcritical(probes)
+
+
 def limit_critical(triplet: LFTriplet, x, n_grid=None, w: str = "const",
                    reps: int = 0, seed: int | None = None, workers: int = 1,
                    tol: float = 1e-3) -> LimitReport:
     """Verify the critical limits; Monte Carlo Yaglom check when reps > 0.
 
-    (i) n P_x(Z_n > 0) -> u(x)/(1+m), Richardson-extrapolated along grid
-    doublings (the printed beta-bearing variant is refuted);
-    (ii) m_n / n -> (1+m)/beta;
+    (i) n P_x(Z_n > 0) -> u(x)/(1+m) (the printed beta-bearing variant is
+    refuted) and (ii) m_n / n -> (1+m)/beta, both Richardson-extrapolated
+    when the last grid point doubles the one before;
     (iii) sum of w over generation n, scaled by n nu(w) and conditioned on
     survival, is asymptotically exponential. The derived mean is
     (1+m)/beta; the printed mean 1+m is reported alongside.
     """
-    summary = classify(triplet)
-    _require(summary, CRITICAL)
-    pair = eigen_build(triplet, summary)
-    m, beta = triplet.m, summary.beta
-    ux = pair.u(x)
-    nsurv_derived = ux / (1.0 + m)
-    nsurv_printed = beta * ux / (1.0 + m)
-    slope_derived = (1.0 + m) / beta
-    yag_derived = (1.0 + m) / beta
-    yag_printed = 1.0 + m
-
-    if n_grid is None:
-        n_grid = (25, 50, 100, 200, 400, 800)
-    n_grid = sorted(int(n) for n in n_grid)
-
-    nsurv = [n * survival_prob(triplet, x, n) for n in n_grid]
-    slopes = [evolve(triplet, n).m_n / n for n in n_grid]
-    if len(n_grid) >= 2 and n_grid[-1] == 2 * n_grid[-2]:
-        measured_nsurv = richardson(nsurv[-2], nsurv[-1])
-        measured_slope = richardson(slopes[-2], slopes[-1])
-    else:
-        measured_nsurv, measured_slope = nsurv[-1], slopes[-1]
-    rows = {"n_survival": nsurv, "m_n_over_n": slopes}
-
-    tests: list[CheckRow] = []
-    constants = {
-        "n_survival": {"printed": nsurv_printed, "derived": nsurv_derived,
-                       "measured": measured_nsurv},
-        "mean_slope": {"printed": slope_derived, "derived": slope_derived,
-                       "measured": measured_slope},
-        "yaglom_mean": {"printed": yag_printed, "derived": yag_derived,
-                        "measured": None},
-    }
-    _certify_and_refute(tests, "n * survival", measured_nsurv,
-                        nsurv_derived, nsurv_printed, tol)
-    tests.append(CheckRow("m_n / n -> (1+m)/beta", slope_derived,
-                          measured_slope, tol,
-                          abs(measured_slope - slope_derived)
-                          <= tol * max(1.0, slope_derived)))
-
-    notes = []
-    if reps > 0:
-        n_star = n_grid[-1]
-        cond = conditioned_scaled_sample(triplet, summary.R, n_star, n_star,
-                                         reps, seed, w, workers)
-        constants["yaglom_mean"]["measured"] = (float(cond.mean())
-                                                if len(cond) else None)
-        if len(cond) < YAGLOM_MIN:
-            notes.append(f"insufficient power: {len(cond)} conditioned "
-                         f"samples < {YAGLOM_MIN}; Yaglom verdict withheld")
-            tests.append(CheckRow("yaglom scaled mean", yag_derived, None,
-                                  0.0, None, kind="mc",
-                                  sample_size=len(cond),
-                                  note="insufficient power"))
-        else:
-            mean, se = mc_mean_se(cond)
-            tests.append(CheckRow("yaglom scaled mean (3 se)", yag_derived,
-                                  mean, 3.0 * se,
-                                  abs(mean - yag_derived) <= 3.0 * se,
-                                  kind="mc", sample_size=len(cond), se=se))
-            if abs(yag_printed - yag_derived) > 3.0 * se:
-                tests.append(CheckRow("yaglom mean refutes printed 1+m",
-                                      yag_printed, mean, 3.0 * se,
-                                      abs(mean - yag_printed) > 3.0 * se,
-                                      kind="refutation", sample_size=len(cond),
-                                      se=se))
-            dks, pks = ks_one_sample(
-                cond, lambda v: 1.0 - np.exp(-np.asarray(v) / yag_derived))
-            tests.append(CheckRow("yaglom KS vs Exp(derived mean), p > 0.01",
-                                  0.01, pks, 0.0, pks > 0.01, kind="mc",
-                                  sample_size=len(cond),
-                                  note=f"ks statistic {dks:.5f}"))
-
-    converged = {k: detect_convergence(v)[0] for k, v in rows.items()}
-    return LimitReport(CRITICAL, constants, tests, n_grid, rows, converged,
-                       notes)
+    return _Verifier(triplet, x, classify(triplet), CRITICAL, n_grid,
+                     tol).critical(w, reps, seed, workers)
 
 
 def limit_supercritical(triplet: LFTriplet, x, n_grid=None, w: str = "const",
@@ -509,86 +571,21 @@ def limit_supercritical(triplet: LFTriplet, x, n_grid=None, w: str = "const",
     an exponential tail whose rate is selected empirically and compared to
     the derived beta (rho - 1)/(1+m).
     """
+    return _Verifier(triplet, x, classify(triplet), SUPERCRITICAL, n_grid,
+                     tol).supercritical(w, reps, seed, workers)
+
+
+def limit_report(triplet: LFTriplet, x, n_grid=None, tol: float = 1e-3,
+                 probes=("const:0.6",), w: str = "const", reps: int = 0,
+                 seed: int | None = None, workers: int = 1) -> LimitReport:
+    """Classify once and run the verifier of the triplet's regime.
+
+    ``probes`` reach only the subcritical verifier; the Monte Carlo
+    arguments (w, reps, seed, workers) only the other two.
+    """
     summary = classify(triplet)
-    _require(summary, SUPERCRITICAL)
-    pair = eigen_build(triplet, summary)
-    m, beta, R, rho = triplet.m, summary.beta, summary.R, summary.rho
-    ux = pair.u(x)
-    surv_derived = (rho - 1.0) * ux / (1.0 + m)
-    surv_printed = beta * surv_derived
-    mass_derived = (1.0 + m) / (beta * (rho - 1.0))
-    rate_derived = 1.0 / mass_derived
-
-    if n_grid is None:
-        n_grid = (10, 20, 30, 40, 50, 60)
-    n_grid = sorted(int(n) for n in n_grid)
-
-    surv = [survival_prob(triplet, x, n) for n in n_grid]
-    scaled_mn = [evolve(triplet, n).m_n * R ** n for n in n_grid]
-    rows = {"survival": surv, "mn_scaled": scaled_mn}
-
-    tests: list[CheckRow] = []
-    constants = {
-        "survival": {"printed": surv_printed, "derived": surv_derived,
-                     "measured": surv[-1]},
-        "mn_scaled": {"printed": mass_derived, "derived": mass_derived,
-                      "measured": scaled_mn[-1]},
-        "tail_rate": {"printed": rate_derived, "derived": rate_derived,
-                      "measured": None},
-    }
-    _certify_and_refute(tests, "survival limit", surv[-1], surv_derived,
-                        surv_printed, tol)
-    tests.append(CheckRow("rho^-n m_n -> (1+m)/(beta (rho-1))", mass_derived,
-                          scaled_mn[-1], tol,
-                          abs(scaled_mn[-1] - mass_derived)
-                          <= tol * max(1.0, mass_derived)))
-
-    notes = []
-    if reps > 0:
-        # expected particle-generations per replicate ~ growth rho^(n+1)/(rho-1);
-        # clamp n so the whole run stays near a fixed work budget
-        growth = (1.0 + m) / (m * beta)
-        budget = 5e7
-        n_star = n_grid[-1]
-        while n_star > 4 and reps * growth * rho ** (n_star + 1) / (rho - 1.0) > budget:
-            n_star -= 1
-        if n_star < n_grid[-1]:
-            notes.append(f"tail check run at n = {n_star} to keep the "
-                         "simulation budget bounded")
-        cond = conditioned_scaled_sample(triplet, R, n_star, rho ** n_star,
-                                         reps, seed, w, workers)
-        if len(cond) < YAGLOM_MIN:
-            notes.append(f"insufficient power: {len(cond)} conditioned "
-                         f"samples < {YAGLOM_MIN}; tail verdict withheld")
-            tests.append(CheckRow("tail rate", rate_derived, None, 0.0, None,
-                                  kind="mc", sample_size=len(cond),
-                                  note="insufficient power"))
-        else:
-            mean, se = mc_mean_se(cond)
-            rate_measured = 1.0 / mean
-            constants["tail_rate"]["measured"] = rate_measured
-            # empirical rate from the mean; delta method for its error
-            rate_se = se / mean ** 2
-            tests.append(CheckRow("tail rate matches derived (4 se)",
-                                  rate_derived, rate_measured, 4.0 * rate_se,
-                                  abs(rate_measured - rate_derived)
-                                  <= 4.0 * rate_se, kind="mc",
-                                  sample_size=len(cond), se=rate_se))
-            dks, pks = ks_one_sample(
-                cond, lambda v: 1.0 - np.exp(-rate_measured * np.asarray(v)))
-            tests.append(CheckRow("tail KS vs fitted exponential, p > 0.01",
-                                  0.01, pks, 0.0, pks > 0.01, kind="mc",
-                                  sample_size=len(cond),
-                                  note=f"ks statistic {dks:.5f}"))
-
-    converged = {k: detect_convergence(v)[0] for k, v in rows.items()}
-    return LimitReport(SUPERCRITICAL, constants, tests, n_grid, rows,
-                       converged, notes)
-
-
-def limit_report(triplet: LFTriplet, x, **kwargs) -> LimitReport:
-    """Dispatch to the verifier matching the triplet's regime."""
-    regime = classify(triplet).criticality
-    fn = {SUBCRITICAL: limit_subcritical, CRITICAL: limit_critical,
-          SUPERCRITICAL: limit_supercritical}[regime]
-    return fn(triplet, x, **kwargs)
+    v = _Verifier(triplet, x, summary, summary.criticality, n_grid, tol)
+    if summary.criticality == SUBCRITICAL:
+        return v.subcritical(probes)
+    mc = v.critical if summary.criticality == CRITICAL else v.supercritical
+    return mc(w, reps, seed, workers)

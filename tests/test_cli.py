@@ -153,6 +153,79 @@ def test_yaglom_rejects_noncritical(capsys):
     assert "critical" in err
 
 
+SCALAR_SUPER = '{"family":"scalar","k":0.75,"m":1.0}'
+# report row names are part of the output format: consumers match on them
+CRIT_EXACT = ["n * survival matches derived constant",
+              "n * survival refutes printed constant", "m_n / n -> (1+m)/beta"]
+SUPER_EXACT = ["survival limit matches derived constant",
+               "survival limit refutes printed constant",
+               "rho^-n m_n -> (1+m)/(beta (rho-1))"]
+
+
+@pytest.mark.parametrize("triplet,flags,tests,constants,rows", [
+    (SCALAR_SUB, ["--grid", "10,20,30"],
+     ["rho^-n survival -> (1-mf(1)) u / ((1+m) beta)",
+      "m_n -> m(1+f(1))/(1-mf(1))", "limit kernel has mass one",
+      "conditional functional at const:0.6"],
+     ["survival_scale", "limit_mean", "conditional:const:0.6"],
+     ["n_survival_scaled", "m_n", "conditional:const:0.6"]),
+    (SCALAR_CRIT, ["--grid", "2,4", "--reps", "4000", "--seed", "3"],
+     CRIT_EXACT + ["yaglom scaled mean (3 se)",
+                   "yaglom mean refutes printed 1+m",
+                   "yaglom KS vs Exp(derived mean), p > 0.01"],
+     ["n_survival", "mean_slope", "yaglom_mean"], ["n_survival", "m_n_over_n"]),
+    (SCALAR_CRIT, ["--grid", "5,10", "--reps", "300", "--seed", "3"],
+     CRIT_EXACT + ["yaglom scaled mean"],
+     ["n_survival", "mean_slope", "yaglom_mean"], ["n_survival", "m_n_over_n"]),
+    (SCALAR_SUPER, ["--grid", "4,8", "--reps", "2000", "--seed", "11"],
+     SUPER_EXACT + ["tail rate matches derived (4 se)",
+                    "tail KS vs fitted exponential, p > 0.01"],
+     ["survival", "mn_scaled", "tail_rate"], ["survival", "mn_scaled"]),
+    (SCALAR_SUPER, ["--grid", "4,8", "--reps", "300", "--seed", "11"],
+     SUPER_EXACT + ["tail rate"],
+     ["survival", "mn_scaled", "tail_rate"], ["survival", "mn_scaled"]),
+])
+def test_limits_report_shape(triplet, flags, tests, constants, rows, capsys):
+    rep = run_json(capsys, ["limits", "--triplet", triplet] + flags)
+    assert [t["name"] for t in rep["tests"]] == tests
+    assert list(rep["constants"]) == constants
+    assert list(rep["rows"]) == rows
+    assert list(rep["converged"]) == rows
+
+
+def test_limits_classifies_once(monkeypatch, capsys):
+    from lfbp import spectral, stats
+    calls = []
+
+    def counting(t, real=spectral.classify):
+        calls.append(t)
+        return real(t)
+    monkeypatch.setattr(spectral, "classify", counting)
+    monkeypatch.setattr(stats, "classify", counting)
+    run_json(capsys, ["limits", "--triplet", SCALAR_CRIT, "--grid", "5,10",
+                      "--reps", "300", "--seed", "1"])
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("n,reps", [(4, 4000), (10, 1000)])
+def test_yaglom_verdict_is_the_limits_yaglom_rows(n, reps, capsys):
+    flags = ["--reps", str(reps), "--seed", "6", "--w", "const:2"]
+    yag = run_json(capsys, ["yaglom", "--triplet", SCALAR_CRIT, "--n", str(n)]
+                   + flags)
+    lim = run_json(capsys, ["limits", "--triplet", SCALAR_CRIT, "--grid",
+                            f"{n // 2},{n}"] + flags)
+    assert yag["mean"]["measured"] == lim["constants"]["yaglom_mean"]["measured"]
+    rows = [t for t in lim["tests"] if t["name"].startswith("yaglom")]
+    if yag["verdict"] == "insufficient power":
+        assert [t["passed"] for t in rows] == [None]
+        return
+    mean_row, ks_row = rows[0], rows[-1]
+    assert yag["se"] == mean_row["se"]
+    assert yag["p_value"] == ks_row["value"]
+    assert yag["verdict"] == ("pass" if mean_row["passed"] and ks_row["passed"]
+                              else "fail")
+
+
 # -- renewal ---------------------------------------------------------------------------
 
 

@@ -50,6 +50,8 @@ def test_probe_expression_cannot_run_code(capsys):
     (["yaglom", "--n", "5", "--seed", "1", "--reps", "20",
       "--workers", "0"], "--workers"),
     (["limits", "--reps", "-4", "--seed", "1"], "--reps"),
+    (["yaglom", "--n", "0", "--seed", "1", "--reps", "20"], "--n"),
+    (["renewal", "--n", "-3", "--a", "1", "--b", "1"], "--n"),
 ])
 def test_bad_count_flags_exit_2_naming_the_flag(argv, flag, capsys):
     with pytest.raises(SystemExit) as exc:
@@ -57,6 +59,34 @@ def test_bad_count_flags_exit_2_naming_the_flag(argv, flag, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert f"argument {flag}: must be >= " in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["limits", "--triplet", SCALAR_CRIT, "--grid", "10,20"],
+    ["renewal", "--a", "0.5,0.5", "--b", "1", "--n", "10"],
+])
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_tol_must_be_positive_and_finite(argv, tol, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + ["--tol", tol])
+    assert exc.value.code == 2
+    assert f"argument --tol: must be positive and finite, got {tol}" in \
+        capsys.readouterr().err
+
+
+@pytest.mark.parametrize("triplet,grid,named", [
+    (SCALAR_CRIT, ",", "--grid needs at least one n"),
+    (SCALAR_CRIT, "0,5", "--grid n = 0"),
+    ('{"family": "scalar", "k": 0.75, "m": 1}', "1000,2000", "--grid n = 2000"),
+    ('{"family": "finite", "K": [[0, 0.5], [0, 0]], "gamma": [1, 0], '
+     '"m": 1e-5}', None, "--grid n = 60"),
+])
+def test_limits_grid_edges_exit_2_naming_the_grid(triplet, grid, named, capsys):
+    flags = [] if grid is None else ["--grid", grid]
+    assert main(["limits", "--triplet", triplet] + flags) == 2
+    out, err = capsys.readouterr()
+    assert named in err and out == ""
     assert "Traceback" not in err
 
 

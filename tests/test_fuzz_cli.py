@@ -1,0 +1,80 @@
+"""Generated `limits`, `yaglom` and `renewal` command lines never crash.
+
+Every run ends in a documented exit code with no traceback, and a report
+that exits 0 states no NaN or infinity.
+"""
+
+import contextlib
+import io
+import json
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from lfbp.cli import main
+
+EXIT_CODES = {0, 2, 3, 4}
+ODD_FLOATS = ["nan", "inf", "-inf", "-1", "0"]
+
+
+@st.composite
+def scalar_triplet(draw):
+    m = draw(st.floats(0.1, 2.0))
+    k = draw(st.one_of(st.just(1.0 / (1.0 + m)), st.floats(0.05, 0.9)))
+    return json.dumps({"family": "scalar", "k": k, "m": m})
+
+
+def number_list(values, min_size=0):
+    return st.lists(values, min_size=min_size, max_size=4).map(
+        lambda v: ",".join(map(str, v)))
+
+
+tols = st.one_of(st.none(), st.sampled_from(ODD_FLOATS),
+                 st.floats(1e-6, 0.5).map(repr))
+deep_grids = number_list(st.integers(-2, 5000))
+
+
+@st.composite
+def limits_argv(draw):
+    argv = ["limits", "--triplet", draw(scalar_triplet())]
+    reps = draw(st.sampled_from([0, 0, 50, 600]))
+    # a Monte Carlo run stays shallow so a supercritical population is small;
+    # an empty --grid means the default grid
+    grid = number_list(st.integers(1, 4), min_size=1) if reps else deep_grids
+    argv += ["--grid", draw(grid)] if draw(st.booleans()) or reps else []
+    if reps:
+        argv += ["--reps", str(reps), "--seed", str(draw(st.integers(0, 99)))]
+    return argv
+
+
+@st.composite
+def yaglom_argv(draw):
+    return ["yaglom", "--triplet", draw(scalar_triplet()),
+            "--n", str(draw(st.integers(-1, 12))),
+            "--reps", str(draw(st.sampled_from([1, 200, 1500]))),
+            "--seed", str(draw(st.integers(0, 99)))]
+
+
+@st.composite
+def renewal_argv(draw):
+    coef = st.one_of(st.sampled_from(ODD_FLOATS), st.floats(0.0, 1.0).map(repr))
+    return ["renewal", "--a", draw(number_list(coef)),
+            "--b", draw(number_list(coef)),
+            "--n", str(draw(st.integers(-3, 300)))]
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(limits_argv(), yaglom_argv(), renewal_argv()), tols)
+def test_cli_exits_cleanly(argv, tol):
+    if tol is not None:
+        argv = argv + ["--tol", tol]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:     # argparse rejected a flag
+            rc = exc.code
+    assert rc in EXIT_CODES, (argv, rc)
+    assert "Traceback" not in err.getvalue()
+    if rc == 0:
+        assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()

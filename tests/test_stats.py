@@ -141,6 +141,8 @@ def test_renewal_validation():
         renewal_sequence([0.4, 0.4], [1.0], 10)
     with pytest.raises(ValueError, match="nonnegative"):
         renewal_sequence([1.2, -0.2], [1.0], 10)
+    with pytest.raises(ValueError, match="finite"):
+        renewal_sequence([float("nan"), 0.5], [1.0], 10)
 
 
 # -- regime verifiers: exact scalar constants ----------------------------------------------
