@@ -17,10 +17,11 @@ over the number r of marked steps since the last restart,
 
     G_k = sum_{r<=k} h_{k-r} Q_r,    Q_r(.) = integral K^r(y, .) gamma(dy),
 
-with h the renewal expansion of 1/(1 - m f(s)) and Q_r/d_r the
-hypoexponential law Exp(mu+r) + chain(lambda, r). Collapsing over k, gamma_n
-is the ``MixtureMeasure`` sum_r W_r Q_r/d_r with W_r proportional to
-H_{n-1-r} d_r, H_t = sum_{j<=t} h_j. M^n(x, .) adds the no-restart term
+with h the renewal expansion of 1/(1 - m f(s)) (``recursions.renewal``) and
+Q_r/d_r the hypoexponential law Exp(mu+r) + chain(lambda, r). Collapsing
+over k, m_n = m sum_{r<n} H_{n-1-r} d_r with H_t = sum_{j<=t} h_j, and
+gamma_n is the ``MixtureMeasure`` sum_r W_r Q_r/d_r with W_r proportional to
+H_{n-1-r} d_r. M^n(x, .) adds the no-restart term
 c_n e^{-nx} Law(x + chain(lambda, n)) to the same components, and K_n(x, .)
 is the signed mixture over [chain at x, Q_0..Q_{n-1}], so sampling and
 integration stay exact instead of importance-weighted.
@@ -28,16 +29,16 @@ integration stay exact instead of importance-weighted.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from . import hypoexp
 from .measures import MixtureMeasure, Probe, VectorMeasure, as_finite_vector
-from .recursions import g_sequence, h_sequence
+from .recursions import SCALE_TOP, renewal
 from .streams import geometric
 from .typespace import (FAMILY_FINITE, ExpFamilyTriplet, FiniteTriplet,
                         GenerationSnapshot, LFTriplet)
-
-_SCALE_TRIGGER = 2.0 ** 512
 
 
 class GenerationLaw:
@@ -48,20 +49,25 @@ class GenerationLaw:
             raise ValueError("n must be >= 1")
         self.triplet = triplet
         self.n = n
-        if triplet.family == FAMILY_FINITE:
-            self._init_finite(triplet, n)
-        else:
-            self._init_exp(triplet, n)
+        finite = triplet.family == FAMILY_FINITE
+        (self._init_finite if finite else self._init_exp)(triplet, n)
 
     # -- construction ----------------------------------------------------------
+
+    def _check_mn(self):
+        if not math.isfinite(self.m_n):
+            raise ValueError(f"m = {self.triplet.m!r}, n = {self.n}: the "
+                             "generation-n mean m_n overflows float64")
 
     def _init_finite(self, t: FiniteTriplet, n: int):
         M = t.M
         rows = [t.gamma_vector.copy()]           # gamma M^k, k = 0..n-1
-        for _ in range(n - 1):
-            rows.append(rows[-1] @ M)
-        gks = np.array([r.sum() for r in rows])  # g_k
-        self.m_n = float(t.m * gks.sum())
+        with np.errstate(over="ignore"):         # _check_mn rejects overflow
+            for _ in range(n - 1):
+                rows.append(rows[-1] @ M)
+            gks = np.array([r.sum() for r in rows])  # g_k
+            self.m_n = float(t.m * gks.sum())
+        self._check_mn()
         self.gamma_n = VectorMeasure(sum(w * (r / g) for w, r, g in
                                          zip(t.m * gks / self.m_n, rows, gks)))
         self._Mn = np.linalg.matrix_power(M, n)
@@ -70,11 +76,12 @@ class GenerationLaw:
                                              self.gamma_n.vector)
 
     def _init_exp(self, t: ExpFamilyTriplet, n: int):
-        self._c = t.c_sequence(n)
-        self._d = t.d_sequence(n)
-        self._h = h_sequence(self._d[:n], t.m)
-        self.m_n = float(t.m * g_sequence(self._d[:n], t.m).sum())
-        raw = np.cumsum(self._h)[::-1] * self._d[:n]  # W_r ~ H_{n-1-r} d_r
+        self._c, self._d = t.c_sequence(n), t.d_sequence(n)
+        h, scale = renewal(t.m * self._d[1:n], [1.0], n - 1)
+        raw = np.cumsum(h)[::-1] * self._d[:n]  # W_r ~ H_{n-1-r} d_r
+        self.m_n = t.m * float(raw.sum()) / scale if scale else math.inf
+        self._check_mn()
+        self._h = h / scale
         self.gamma_n = MixtureMeasure(
             raw / raw.sum(),
             [hypoexp.gamma_chain_law(t.lam, t.mu, r) for r in range(n)])
@@ -176,10 +183,11 @@ class GenerationLaw:
         ``h`` is a Probe, a callable, or (finite family) a length-d vector.
         """
         p = h if isinstance(h, Probe) else Probe("h", h, tuple(breaks))
-        denom = 1.0 + self.m_n - self.m_n * p.apply(self.gamma_n)
-        if denom < 1.0 - 1e-9:
-            raise AssertionError(
-                f"functional denominator {denom} < 1; h must map into [0,1]")
+        g = p.apply(self.gamma_n)
+        if g > 1.0 + 1e-9:
+            raise AssertionError(f"gamma_n(h) = {g} > 1; h must map into [0,1]")
+        # 1 + m_n - m_n gamma_n(h) would cancel to 0 once m_n passes 2^53
+        denom = 1.0 + self.m_n * max(0.0, 1.0 - g)
         return 1.0 - self.kn_mass(x) + p.apply(self.kn_measure(x)) / denom
 
     def pmf(self, x, k: int) -> float:
@@ -214,8 +222,9 @@ def evolve(triplet: LFTriplet, n: int) -> GenerationLaw:
 def survival_prob(triplet: LFTriplet, x, n: int) -> float:
     """P_x(Z_n > 0) = M^n(x, E)/(1 + m_n), stable far beyond float overflow.
 
-    Masses are tracked against a shared rescaling offset, so supercritical
-    growth rho^n never overflows; the result is always a plain probability.
+    Running sums are rescaled by exact powers of two as in ``renewal``, so
+    growth rho^n or a huge m never overflows. Exponential family:
+    M^n(x, E) = c_n e^{-nx} + m sum_{i=1..n} c_i e^{-ix} g_{n-i}.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -225,39 +234,24 @@ def survival_prob(triplet: LFTriplet, x, n: int) -> float:
     if t.family == FAMILY_FINITE:
         x = t.validate_point(x)
         M, gam = t.M, t.gamma_vector
+        # one step multiplies the entries by at most the largest row sum of M
+        top = SCALE_TOP / max(1.0, t.m, float(M.sum(axis=1).max()))
         w = np.ones(t.d)
-        acc = 1.0                       # sum_{k<n} gamma M^k 1, rescaled
-        inv_scale = 1.0                 # e^{-off}
+        acc = scale = 1.0               # sum_{k<n} gamma M^k 1, and its scale
         for _ in range(n - 1):
             w = M @ w
             acc += float(gam @ w)
-            if acc > _SCALE_TRIGGER or w.max() > _SCALE_TRIGGER:
-                w /= _SCALE_TRIGGER
-                acc /= _SCALE_TRIGGER
-                inv_scale /= _SCALE_TRIGGER
+            if (big := max(acc, float(w.max()))) > top:
+                f = math.ldexp(1.0, -math.frexp(big)[1])
+                w, acc, scale = w * f, acc * f, scale * f
         w = M @ w
-        return float(w[x] / (inv_scale + t.m * acc))
-    return _exp_survival_scaled(t, float(t.validate_point(x)), n)
-
-
-def _exp_survival_scaled(t: ExpFamilyTriplet, x: float, n: int) -> float:
-    c = t.c_sequence(n)
-    d = t.d_sequence(n)
-    m = t.m
-    g = np.empty(n)                     # rescaled g_0..g_{n-1}
-    g[0] = 1.0
-    acc = 1.0
-    inv_scale = 1.0
-    for j in range(1, n):
-        g[j] = d[j] * inv_scale + m * float(d[1 : j + 1] @ g[j - 1 :: -1])
-        acc += g[j]
-        if g[j] > _SCALE_TRIGGER:
-            g[: j + 1] /= _SCALE_TRIGGER
-            acc /= _SCALE_TRIGGER
-            inv_scale /= _SCALE_TRIGGER
-    e = c[: n + 1] * np.exp(-np.arange(n + 1) * x)
-    mn_mass = e[n] * inv_scale + m * float(e[1 : n + 1] @ g[n - 1 :: -1])
-    return float(mn_mass / (inv_scale + m * acc))
+        return float(w[x] / (scale + t.m * acc))
+    x = float(t.validate_point(x))
+    c, d = t.c_sequence(n), t.d_sequence(n)
+    g, scale = renewal(t.m * d[1:n], d[:n], n - 1)
+    e = c * np.exp(-np.arange(n + 1) * x)
+    mn_mass = e[n] * scale + t.m * float(e[1:] @ g[::-1])
+    return float(mn_mass / (scale + t.m * float(g.sum())))
 
 
 def gen_functional(triplet: LFTriplet, x, n: int, h, breaks=()) -> float:

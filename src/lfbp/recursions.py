@@ -1,43 +1,51 @@
-"""Convolution recursions shared by the evolution and spectral machinery.
+"""The renewal recursion c_j = b_j + sum_{k=1..min(j,p)} a_k c_{j-k}, j = 0..n.
 
-With d_j the gamma-averaged bare-kernel masses and m the litter mean, the
-gamma-averaged mean-kernel masses g_j and the renewal coefficients h_j obey
+It is the one solver behind the exact generation laws. With d_j the
+gamma-averaged bare-kernel masses and m the litter mean, a = m d and b = (1)
+give h, the coefficients of 1/(1 - m f(s)); b = d gives g, g_j the expected
+generation-j size started from gamma. ``lfbp renewal`` solves it for a
+probability vector a.
 
-    g_j = d_j + m * sum_{i=1..j} d_i g_{j-i},      g_0 = 1
-    h_j = m * sum_{i=1..j} d_i h_{j-i},            h_0 = 1
-
-g_j equals the expected generation-j size started from gamma; h is the
-renewal expansion of 1/(1 - m f(s)) and flattens nested gamma-restart
-mixtures into single-stage component weights.
+A supercritical sequence grows like rho^j, so when an entry passes
+2^512 / max(1, sum |a|) the solver multiplies the prefix and a running scale
+by the power of two that brings it below 1; the next step cannot overflow.
+Multiplying by a power of two is exact in binary floating point, so every
+product and sum is the unscaled one times scale, rounded the same way: while
+scale is a normal float, c is bit for bit scale times the unbounded result.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-
-def g_sequence(d: np.ndarray, m: float) -> np.ndarray:
-    """g_0..g_n for d = [d_0..d_n] (d_0 = 1 by convention)."""
-    n = len(d) - 1
-    g = np.empty(n + 1)
-    g[0] = 1.0
-    for j in range(1, n + 1):
-        acc = d[j]
-        for i in range(1, j + 1):
-            acc += m * d[i] * g[j - i]
-        g[j] = acc
-    return g
+SCALE_TOP = 2.0 ** 512
 
 
-def h_sequence(d: np.ndarray, m: float) -> np.ndarray:
-    """h_0..h_n, the coefficients of 1/(1 - m f(s))."""
-    n = len(d) - 1
-    h = np.empty(n + 1)
-    h[0] = 1.0
-    for j in range(1, n + 1):
-        acc = 0.0
-        for i in range(1, j + 1):
-            acc += m * d[i] * h[j - i]
-        h[j] = acc
-    return h
+def renewal(a, b, n: int) -> tuple[np.ndarray, float]:
+    """(scale c_0..scale c_n, scale) for a_1..a_p and b_0..b_q (b_j = 0 past q).
 
+    scale is 1.0 until an entry passes the bound, and may underflow to 0.0.
+    c is kept newest first, so each step is one dot of a_1..a_k with
+    c_{j-1}..c_{j-k}; for p < 16 a strided view makes numpy sum it in that
+    order instead of BLAS, so short-a bits do not depend on the BLAS build.
+    """
+    a = np.asarray(a, dtype=float)
+    if len(a) < 16:
+        a = a[::-1].copy()[::-1]
+    b = np.asarray(b, dtype=float)[: n + 1].tolist()
+    p, q = len(a), len(b)
+    top = SCALE_TOP / max(1.0, float(np.abs(a).sum()))
+    rev, scale = np.zeros(n + 1), 1.0   # rev[n - j] = c_j
+    for j in range(n + 1):
+        i, k = n - j + 1, min(j, p)
+        v = float(a[:k] @ rev[i: i + k])
+        if j < q:
+            v += b[j] * scale
+        if abs(v) > top:
+            f = math.ldexp(1.0, -math.frexp(v)[1])
+            rev[i:] *= f
+            v, scale = v * f, scale * f
+        rev[i - 1] = v
+    return rev[::-1], scale

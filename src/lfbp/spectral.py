@@ -26,9 +26,9 @@ import numpy as np
 
 from . import hypoexp
 from .errors import BracketError
+from .evolution import evolve
 from .measures import MixtureMeasure, VectorMeasure
-from .typespace import (FAMILY_EXP, FAMILY_FINITE, ExpFamilyTriplet,
-                        LFTriplet, kernel_power_mass)
+from .typespace import FAMILY_EXP, FAMILY_FINITE, ExpFamilyTriplet, LFTriplet
 
 SUBCRITICAL = "subcritical"
 CRITICAL = "critical"
@@ -277,9 +277,9 @@ def solve_R(law: LifeLengthLaw, m: float) -> SpectralSummary:
     """Locate the decay parameter: the root of m f(R) = 1, or R_* without one.
 
     f is strictly increasing with f(0) = 0, so a sign bracket plus bisection
-    is exact and certified; the iteration budget is 200 halvings. When
-    f(R_*) < 1/m the process is R-transient and no Malthusian parameter
-    exists.
+    is exact and certified (200 halvings at most); a critical m f(1) = 1 gives
+    R = 1 with no bisection. When f(R_*) < 1/m the process is R-transient and
+    no Malthusian parameter exists.
     """
     f1 = law.f_eval(1.0)
     mf1 = m * f1 if math.isfinite(f1) else math.inf
@@ -303,16 +303,19 @@ def solve_R(law: LifeLengthLaw, m: float) -> SpectralSummary:
         return SpectralSummary(crit, R_TRANSIENT, R_star, R_star, None, None,
                                None, mf1, f1, mean_life)
 
-    lo, hi = 0.0, _bracket_high(law, target, R_star)
-    for _ in range(_BISECT_MAX):
-        mid = 0.5 * (lo + hi)
-        if law.f_eval(mid) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo <= 1e-14 * max(1.0, hi):
-            break
-    R = 0.5 * (lo + hi)
+    if crit == CRITICAL:
+        R = 1.0                          # |m f(1) - 1| <= _CRIT_TOL
+    else:
+        lo, hi = 0.0, _bracket_high(law, target, R_star)
+        for _ in range(_BISECT_MAX):
+            mid = 0.5 * (lo + hi)
+            if law.f_eval(mid) < target:
+                lo = mid
+            else:
+                hi = mid
+            if hi - lo <= 1e-14 * max(1.0, hi):
+                break
+        R = 0.5 * (lo + hi)
     fprime = law.f_derivative(R)
     recurrence = R_POSITIVE if math.isfinite(fprime) and fprime < 1e12 else R_NULL
     beta = m * R * fprime if math.isfinite(fprime) else math.inf
@@ -436,11 +439,10 @@ class Eigenpair:
         if t.family == FAMILY_FINITE:
             return float(self.nu.vector @ self.u_vector)
         R, lam, m = self.summary.R, t.lam, t.m
-        c = t.c_sequence(256)
         acc = 0.0
         for w, comp in zip(self.nu.weights, self.nu.components):
             inner, term = 0.0, 1.0
-            for j in range(1, len(c)):
+            for j in range(1, 257):
                 term = (R * lam / (lam + j - 1.0)) * term
                 inc = term * comp.mgf_neg(float(j))
                 inner += inc
@@ -457,15 +459,11 @@ def eigen_build(triplet: LFTriplet, summary: SpectralSummary | None = None) -> E
     if summary.recurrence == R_TRANSIENT:
         raise ValueError("eigenpair requires an R-recurrent process")
     R = summary.R
-    nu = NuMeasure(triplet, R)
     u_vec = None
     if triplet.family == FAMILY_FINITE:
-        K = triplet.K
-        d = K.shape[0]
-        u_vec = np.empty(d)
-        for x in range(d):
-            u_vec[x] = (1.0 + triplet.m) * (k_resolvent_mass(triplet, x, R) - 1.0)
-    return Eigenpair(triplet, summary, nu, u_vec)
+        u_vec = np.array([(1.0 + triplet.m) * (k_resolvent_mass(triplet, x, R) - 1.0)
+                          for x in range(triplet.d)])
+    return Eigenpair(triplet, summary, NuMeasure(triplet, R), u_vec)
 
 
 def eigen_residuals(triplet: LFTriplet, pair: Eigenpair, grid=None) -> dict:
@@ -526,22 +524,10 @@ def pf_limit_check(triplet: LFTriplet, x, n_max: int = 40) -> list[PFLimitRow]:
     if summary.recurrence != R_POSITIVE:
         raise ValueError("ratio limit requires R-positive recurrence")
     pair = eigen_build(triplet, summary)
-    R = summary.R
-    limit = pair.u(x) * pair.nu.mass() / summary.beta
-    rows = []
-    if triplet.family == FAMILY_FINITE:
-        x = triplet.validate_point(x)
-        v = np.ones(triplet.d)
-        M = triplet.M
-        for n in range(1, n_max + 1):
-            v = R * (M @ v)
-            scaled = float(v[x])
-            rows.append(PFLimitRow(n, scaled, limit, abs(scaled - limit) / abs(limit)))
-    else:
-        for n in range(1, n_max + 1):
-            scaled = R ** n * kernel_power_mass(triplet, x, n)
-            rows.append(PFLimitRow(n, scaled, limit, abs(scaled - limit) / abs(limit)))
-    return rows
+    R, limit = summary.R, pair.u(x) * pair.nu.mass() / summary.beta
+    scaled = [R ** n * evolve(triplet, n).mn_mass(x) for n in range(1, n_max + 1)]
+    return [PFLimitRow(n, v, limit, abs(v - limit) / abs(limit))
+            for n, v in enumerate(scaled, 1)]
 
 
 def hypergeom_phi(lam: float, mu: float, s: float) -> float:

@@ -36,6 +36,7 @@ from scipy import special
 from .errors import RegimeError
 from .evolution import evolve, survival_prob
 from .measures import probe
+from .recursions import renewal
 from .simulate import DEFAULT_CAP, bgw_generation, replicate_map
 from .spectral import (CRITICAL, SUBCRITICAL, SUPERCRITICAL, NuMeasure,
                        classify, eigen_build, gamma_resolvent)
@@ -187,15 +188,9 @@ def renewal_sequence(a, b, n_max: int, rel: float = _CONV_REL) -> RenewalSequenc
         warnings.warn(f"renewal support has period {period}; c_n oscillates "
                       "and the mean limit only holds along subsequences",
                       RuntimeWarning, stacklevel=2)
-    c = np.zeros(n_max + 1)
-    p = len(a)
-    for n in range(n_max + 1):
-        v = float(b[n]) if n < len(b) else 0.0
-        k = min(n, p)
-        if k:
-            v += float(a[:k] @ c[n - 1::-1][:k])
-        c[n] = v
-    limit = float(b.sum() / (a @ np.arange(1, p + 1)))
+    c, scale = renewal(a, b, n_max)
+    c /= scale
+    limit = float(b.sum() / (a @ np.arange(1, len(a) + 1)))
     window = c[-min(8, n_max + 1):]
     tail_dev = float(np.max(np.abs(window - limit)))
     conv, _ = detect_convergence(c[::max(1, n_max // 16)], rel)
@@ -294,14 +289,14 @@ def _ks_row(name: str, sample, cdf) -> CheckRow:
 # ---------------------------------------------------------------------------
 
 def _generation_sum(triplet, n, w_spec, cap):
-    """Per-replicate sum of w over the generation-n types."""
+    """Per-replicate (Z_n, sum of w over the generation-n types)."""
     p = probe(w_spec)
 
     def draw(rng):
         pts = bgw_generation(triplet, "gamma", n, rng, cap)
         if p.const is not None:
-            return len(pts) * p.const
-        return float(np.sum(p.fn(pts))) if len(pts) else 0.0
+            return len(pts), len(pts) * p.const
+        return len(pts), float(np.sum(p.fn(pts))) if len(pts) else 0.0
     return draw
 
 
@@ -317,23 +312,27 @@ def yaglom_sample(triplet: LFTriplet, n: int, reps: int, seed: int,
     """
     p = probe(w) if isinstance(w, str) else w
     return replicate_map(_generation_sum, (triplet, n, p.spec, cap), reps,
-                         seed, workers)
+                         seed, workers).reshape(-1, 2)[:, 1]
 
 
 def conditioned_scaled_sample(triplet: LFTriplet, R: float, n: int,
                               scale: float, reps: int, seed: int | None,
                               w: str = "const", workers: int = 1) -> np.ndarray:
-    """Surviving replicates of sum of w over generation n, over scale nu(w).
+    """Sum of w over generation n, over scale nu(w), for replicates with Z_n > 0.
 
     nu is the eigenmeasure at the convergence radius ``R``; ``scale`` is n
-    when critical and rho^n when supercritical. A zero sum counts as extinct.
+    when critical and rho^n when supercritical. A survivor whose sum of w is
+    0 stays in the sample. nu(w) must be positive.
     """
     if seed is None:
         raise ValueError("a seed is required for the Monte Carlo check")
     p = probe(w) if isinstance(w, str) else w
-    denom = scale * p.apply(NuMeasure(triplet, R))
-    vals = yaglom_sample(triplet, n, reps, seed, w=p, workers=workers)
-    return vals[vals > 0.0] / denom
+    nu_w = p.apply(NuMeasure(triplet, R))
+    if not nu_w > 0.0:
+        raise ValueError(f"--w {p.spec}: nu(w) = {nu_w!r} must be positive")
+    zw = replicate_map(_generation_sum, (triplet, n, p.spec, DEFAULT_CAP),
+                       reps, seed, workers).reshape(-1, 2)
+    return zw[zw[:, 0] > 0, 1] / (scale * nu_w)
 
 
 def yaglom_rows(triplet: LFTriplet, summary, n: int, reps: int,

@@ -32,7 +32,6 @@ import numpy as np
 from . import hypoexp
 from .errors import TripletFormatError
 from .measures import MixtureMeasure, VectorMeasure
-from .recursions import g_sequence
 
 TypePoint = Union[int, float]
 
@@ -288,7 +287,7 @@ def triplet_to_dict(triplet: LFTriplet) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# generations and one-step means
+# generations
 # ---------------------------------------------------------------------------
 
 @dataclass
@@ -309,29 +308,3 @@ class GenerationSnapshot:
     def size(self) -> int:
         return len(self.points)
 
-
-def kernel_power_mass(triplet: LFTriplet, x: TypePoint, n: int) -> float:
-    """M^n(x, E), the expected generation-n size started from a type-x individual.
-
-    Finite family: vector iteration with the mean matrix. Exponential family:
-    exact expansion M^n(x,E) = c_n e^{-nx} + m sum_i c_i e^{-ix} g_{n-i} with
-    g the gamma-averaged mean-mass recursion.
-    """
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1.0
-    x = triplet.validate_point(x)
-    if triplet.family == FAMILY_FINITE:
-        v = np.ones(triplet.d)
-        M = triplet.M
-        for _ in range(n):
-            v = M @ v
-        return float(v[x])
-    c = triplet.c_sequence(n)
-    g = g_sequence(triplet.d_sequence(n - 1), triplet.m)
-    ex = np.exp(-np.arange(n + 1) * x)
-    acc = c[n] * ex[n]
-    for i in range(1, n + 1):
-        acc += triplet.m * c[i] * ex[i] * g[n - i]
-    return float(acc)

@@ -8,6 +8,8 @@ import pytest
 
 from lfbp import __version__
 from lfbp.cli import main
+from lfbp.stats import conditioned_scaled_sample
+from lfbp.typespace import triplet_from_dict
 
 EXP_TRIPLET = '{"family":"exp","lambda":1.0,"mu":1.0,"m":2.0}'
 SCALAR_CRIT = '{"family":"scalar","k":0.5,"m":1.0}'
@@ -63,6 +65,16 @@ def test_survive_critical_scalar(capsys):
     assert abs(rep["survival"] - 1.0 / 11.0) < 1e-12
     assert f'{rep["survival"]:.6f}' == "0.090909"
     assert rep["x"] == 0 and rep["n"] == 10
+
+
+def test_huge_m_survives_and_overflowing_distribution_exits_2(capsys):
+    doc = '{"family": "scalar", "k": 0.5, "m": 1e300}'
+    rep = run_json(capsys, ["survive", "--triplet", doc, "--n", "5"])
+    assert 0.0 < rep["survival"] < 1.0
+    rc = main(["distribution", "--triplet", doc, "--n", "5"])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "m = 1e+300, n = 5" in captured.err
 
 
 def test_distribution_report(capsys):
@@ -143,6 +155,29 @@ def test_yaglom_powered_verdict(capsys):
     assert rep["verdict"] == "pass"
     assert rep["p_value"] > 0.01
     assert abs(rep["mean"]["measured"] - 1.0) < 3.5 * rep["se"] + 0.1
+
+
+CRIT_2TYPE = json.dumps({"family": "finite", "K": [[0.2, 0.3], [0.1, 0.4]],
+                         "gamma": [0.5, 0.5], "m": 1.0})      # f(1) = 1
+
+
+def test_yaglom_conditions_on_survival(capsys):
+    # some survivors hold no type-1 particle; they stay in the sample
+    runs = {w: run_json(capsys, ["yaglom", "--triplet", CRIT_2TYPE, "--n", "10",
+                                 "--reps", "2000", "--seed", "4", "--w", w])
+            for w in ("const", "indicator:1,1")}
+    assert runs["const"]["conditioned"] == runs["indicator:1,1"]["conditioned"]
+    t = triplet_from_dict(json.loads(CRIT_2TYPE))
+    zeros = conditioned_scaled_sample(t, 1.0, 10, 10, 2000, 4, "indicator:1,1")
+    assert (zeros == 0.0).any()
+
+
+@pytest.mark.parametrize("w", ["const:0", "const:-1", "indicator:5,6"])
+def test_yaglom_rejects_probe_with_no_nu_mass(w, capsys):
+    rc = main(["yaglom", "--triplet", SCALAR_CRIT, "--n", "5", "--reps", "600",
+               "--seed", "1", "--w", w])
+    assert rc == 2
+    assert f"--w {w}" in capsys.readouterr().err
 
 
 def test_yaglom_rejects_noncritical(capsys):

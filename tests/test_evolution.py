@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from lfbp import evolution, streams
 from lfbp.evolution import (evolve, gen_functional, gen_functional_iterated,
                             survival_prob)
-from lfbp.recursions import g_sequence, h_sequence
+from lfbp.recursions import renewal
 from lfbp.stats import chi_square_geometric
 from lfbp.typespace import make_exp_triplet, make_finite_triplet
 
@@ -26,16 +27,45 @@ def test_g_h_sequences_are_series_inverses():
     rng = streams.stream(31, 0)
     d = np.concatenate([[1.0], rng.random(12) * 0.4])
     m = 1.3
-    h = h_sequence(d, m)
+    h, scale = renewal(m * d[1:], [1.0], len(d) - 1)
+    assert scale == 1.0
     f_coef = d.copy()
     f_coef[0] = 0.0
     conv = h - m * np.convolve(f_coef, h)[: len(d)]
     want = np.zeros(len(d))
     want[0] = 1.0
     assert np.max(np.abs(conv - want)) < 1e-12
-    g = g_sequence(d, m)
+    g, scale = renewal(m * d[1:], d, len(d) - 1)
+    assert scale == 1.0
     gh = np.convolve(d, h)[: len(d)]
     assert np.max(np.abs(g - gh)) < 1e-12
+
+
+def test_renewal_solves_the_toeplitz_system():
+    # c = b + T(a) c with T(a) strictly lower triangular Toeplitz, i.e.
+    # (I - T(a)) c = b
+    rng = streams.stream(33, 0)
+    n = 50
+    for p in (3, 20, n):
+        a = rng.random(p) * (1.5 / p)
+        b = rng.random(int(rng.integers(1, n + 2)))
+        c, scale = renewal(a, b, n)
+        assert scale == 1.0
+        T = np.zeros((n + 1, n + 1))
+        for k in range(1, p + 1):
+            T += np.diag(np.full(n + 1 - k, a[k - 1]), -k)
+        rhs = np.zeros(n + 1)
+        rhs[: len(b)] = b
+        want = np.linalg.solve(np.eye(n + 1) - T, rhs)
+        assert np.max(np.abs(c - want) / np.abs(want)) < 1e-12
+
+
+def test_renewal_rescales_by_powers_of_two():
+    # c_j = 2^(300 j) leaves float64 at j = 4; the scaled entries stay
+    # exactly scale * 2^(300 j)
+    c, scale = renewal([2.0 ** 300], [1.0], 3)
+    assert scale == 2.0 ** -901
+    assert c.tolist() == [math.ldexp(scale, 300 * j) for j in range(4)]
 
 
 # -- one-step consistency ----------------------------------------------------------
@@ -98,6 +128,74 @@ def test_survival_deep_generations_no_overflow(scalar_super, exp_super):
     assert abs(p_fin - 0.5) < 1e-6  # scalar k=0.75, m=1 limit is 1/2
     p_exp = survival_prob(exp_super, 1.0, 2000)
     assert 0.0 < p_exp < 1.0
+
+
+def _mp_exp_survival(lam, mu, m, x, n):
+    """P_x(Z_n > 0) for the exp family from the g recursion at 40 digits."""
+    with mpmath.workdps(40):
+        lam, mu, m, x = (mpmath.mpf(v) for v in (lam, mu, m, x))
+        c = [mpmath.mpf(1)]
+        for j in range(n):
+            c.append(c[-1] * lam / (lam + j))
+        d = [c[j] * mu / (mu + j) for j in range(n + 1)]
+        g = [mpmath.mpf(1)]
+        for j in range(1, n):
+            g.append(d[j] + m * mpmath.fsum(d[i] * g[j - i]
+                                            for i in range(1, j + 1)))
+        mass = c[n] * mpmath.exp(-n * x) + m * mpmath.fsum(
+            c[i] * mpmath.exp(-i * x) * g[n - i] for i in range(1, n + 1))
+        return float(mass / (1 + m * mpmath.fsum(g)))
+
+
+@pytest.mark.parametrize("lam,mu,m,rescaled", [
+    (1.0, 1.0, 1.0 / (math.e - 2.0), False),    # critical
+    (1.7, 0.9, 6.0, True),                      # rho = 3.2: g passes 2^512
+])
+def test_exp_survival_against_mpmath(lam, mu, m, rescaled):
+    n, x = 400, 0.7
+    t = make_exp_triplet(lam, mu, m)
+    d = t.d_sequence(n)
+    assert (renewal(m * d[1:n], d[:n], n - 1)[1] < 1.0) == rescaled
+    want = _mp_exp_survival(lam, mu, m, x, n)
+    assert abs(survival_prob(t, x, n) - want) <= 1e-12 * want
+
+
+@pytest.mark.parametrize("k,m,n", [(0.5, 1e300, 5), (0.5, 1e300, 60),
+                                   (0.3, 1e200, 40), (0.9, 1e12, 500)])
+def test_scalar_survival_with_huge_m(k, m, n):
+    # rho^n / (1 + m sum_{j<n} rho^j) = 1 / (rho^-n + m sum_{j=1..n} rho^-j),
+    # rho = k (1 + m), summed in logs
+    log_rho = math.log(k) + math.log1p(m)
+    j = np.arange(1, n + 1)
+    want = math.exp(-np.logaddexp.reduce(
+        np.append(math.log(m) - j * log_rho, -n * log_rho)))
+    got = survival_prob(make_finite_triplet([[k]], [1.0], m), 0, n)
+    assert abs(got - want) <= 1e-12 * want
+
+
+def test_exp_survival_with_huge_m():
+    lam, mu, m, x, n = 1.0, 1.0, 1e300, 0.8, 50
+    t = make_exp_triplet(lam, mu, m)
+    logc = np.log(t.c_sequence(n))
+    logd = np.log(t.d_sequence(n))
+    logg = [0.0]
+    for j in range(1, n):
+        logg.append(np.logaddexp(logd[j], math.log(m) + np.logaddexp.reduce(
+            logd[1: j + 1] + np.array(logg[::-1]))))
+    idx = np.arange(1, n + 1)
+    log_mass = np.logaddexp(logc[n] - n * x, math.log(m) + np.logaddexp.reduce(
+        logc[1:] - idx * x + np.array(logg[::-1])))
+    log_den = np.logaddexp(0.0, math.log(m) + np.logaddexp.reduce(logg))
+    want = math.exp(log_mass - log_den)
+    assert abs(survival_prob(t, x, n) - want) <= 1e-10 * want
+
+
+@pytest.mark.parametrize("t", [make_finite_triplet([[0.5]], [1.0], 1e300),
+                               make_exp_triplet(1.0, 1.0, 1e300)])
+def test_overflowing_mean_is_rejected(t):
+    evolve(t, 1)
+    with pytest.raises(ValueError, match=r"m = 1e\+300, n = 5"):
+        evolve(t, 5)
 
 
 def test_subcritical_survival_decays(scalar_sub):

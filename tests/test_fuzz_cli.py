@@ -1,4 +1,5 @@
-"""Generated `limits`, `yaglom` and `renewal` command lines never crash.
+"""Generated `limits`, `yaglom`, `renewal`, `survive` and `distribution`
+command lines never crash.
 
 Every run ends in a documented exit code with no traceback, and a report
 that exits 0 states no NaN or infinity.
@@ -63,8 +64,19 @@ def renewal_argv(draw):
             "--n", str(draw(st.integers(-3, 300)))]
 
 
+@st.composite
+def exact_argv(draw):
+    # m log-uniform up to 1e300: a huge m must give a probability or exit 2
+    m = 10.0 ** draw(st.floats(-1.0, 300.0))
+    k = draw(st.floats(0.05, 0.95))
+    doc = json.dumps({"family": "scalar", "k": k, "m": m})
+    return [draw(st.sampled_from(["survive", "distribution"])), "--triplet",
+            doc, "--n", str(draw(st.integers(0, 400)))]
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.one_of(limits_argv(), yaglom_argv(), renewal_argv()), tols)
+@given(st.one_of(limits_argv(), yaglom_argv(), renewal_argv(), exact_argv()),
+       tols)
 def test_cli_exits_cleanly(argv, tol):
     if tol is not None:
         argv = argv + ["--tol", tol]

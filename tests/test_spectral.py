@@ -36,6 +36,7 @@ EXP_BETA = 1.288065682551018
     (0.4, 1.0, "subcritical"),
     (0.5, 1.0, "critical"),
     (1.0 / 3.0, 2.0, "critical"),
+    (0.2, 4.0, "critical"),
     (0.75, 1.0, "supercritical"),
 ])
 def test_scalar_closed_forms(k, m, crit):
@@ -45,8 +46,9 @@ def test_scalar_closed_forms(k, m, crit):
     assert abs(s.R - 1.0 / (k * (1.0 + m))) < 1e-12
     assert abs(s.beta - (1.0 + m) / m) < 1e-10
     assert abs(s.mf1 - m * k / (1.0 - k)) < 1e-12
-    if crit == "critical":
-        assert abs(s.alpha) < 1e-12
+    if crit == "critical":   # snapped, not bisected
+        assert s.R == 1.0 and s.rho == 1.0 and s.alpha == 0.0
+        assert s.beta == m * LifeLengthLaw(t).f_derivative(1.0)
 
 
 def test_scalar_supercritical_rho():
