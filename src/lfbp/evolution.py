@@ -49,8 +49,10 @@ class GenerationLaw:
             raise ValueError("n must be >= 1")
         self.triplet = triplet
         self.n = n
-        finite = triplet.family == FAMILY_FINITE
-        (self._init_finite if finite else self._init_exp)(triplet, n)
+        if triplet.family == FAMILY_FINITE:
+            self._init_finite(triplet, n)
+        else:
+            self._init_exp(triplet, n)
 
     # -- construction ----------------------------------------------------------
 
@@ -76,7 +78,8 @@ class GenerationLaw:
                                              self.gamma_n.vector)
 
     def _init_exp(self, t: ExpFamilyTriplet, n: int):
-        self._c, self._d = t.c_sequence(n), t.d_sequence(n)
+        self._c = t.c_sequence(n)
+        self._d = t.d_sequence(n)
         h, scale = renewal(t.m * self._d[1:n], [1.0], n - 1)
         raw = np.cumsum(h)[::-1] * self._d[:n]  # W_r ~ H_{n-1-r} d_r
         self.m_n = t.m * float(raw.sum()) / scale if scale else math.inf
@@ -237,17 +240,21 @@ def survival_prob(triplet: LFTriplet, x, n: int) -> float:
         # one step multiplies the entries by at most the largest row sum of M
         top = SCALE_TOP / max(1.0, t.m, float(M.sum(axis=1).max()))
         w = np.ones(t.d)
-        acc = scale = 1.0               # sum_{k<n} gamma M^k 1, and its scale
+        acc = 1.0                       # sum_{k<n} gamma M^k 1, rescaled
+        scale = 1.0
         for _ in range(n - 1):
             w = M @ w
             acc += float(gam @ w)
             if (big := max(acc, float(w.max()))) > top:
                 f = math.ldexp(1.0, -math.frexp(big)[1])
-                w, acc, scale = w * f, acc * f, scale * f
+                w *= f
+                acc *= f
+                scale *= f
         w = M @ w
         return float(w[x] / (scale + t.m * acc))
     x = float(t.validate_point(x))
-    c, d = t.c_sequence(n), t.d_sequence(n)
+    c = t.c_sequence(n)
+    d = t.d_sequence(n)
     g, scale = renewal(t.m * d[1:n], d[:n], n - 1)
     e = c * np.exp(-np.arange(n + 1) * x)
     mn_mass = e[n] * scale + t.m * float(e[1:] @ g[::-1])

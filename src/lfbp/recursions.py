@@ -27,25 +27,26 @@ def renewal(a, b, n: int) -> tuple[np.ndarray, float]:
     """(scale c_0..scale c_n, scale) for a_1..a_p and b_0..b_q (b_j = 0 past q).
 
     scale is 1.0 until an entry passes the bound, and may underflow to 0.0.
-    c is kept newest first, so each step is one dot of a_1..a_k with
-    c_{j-1}..c_{j-k}; for p < 16 a strided view makes numpy sum it in that
-    order instead of BLAS, so short-a bits do not depend on the BLAS build.
+    c is kept newest first and a is read through a negative-stride view,
+    which numpy never hands to BLAS: each step's dot is summed in order,
+    a_1 c_{j-1} first, so the bits do not depend on the BLAS build.
     """
-    a = np.asarray(a, dtype=float)
-    if len(a) < 16:
-        a = a[::-1].copy()[::-1]
+    a = np.asarray(a, dtype=float)[::-1].copy()[::-1]
     b = np.asarray(b, dtype=float)[: n + 1].tolist()
     p, q = len(a), len(b)
     top = SCALE_TOP / max(1.0, float(np.abs(a).sum()))
-    rev, scale = np.zeros(n + 1), 1.0   # rev[n - j] = c_j
+    rev = np.zeros(n + 1)               # rev[n - j] = c_j
+    scale = 1.0
     for j in range(n + 1):
-        i, k = n - j + 1, min(j, p)
+        i = n - j + 1
+        k = min(j, p)
         v = float(a[:k] @ rev[i: i + k])
         if j < q:
             v += b[j] * scale
         if abs(v) > top:
             f = math.ldexp(1.0, -math.frexp(v)[1])
             rev[i:] *= f
-            v, scale = v * f, scale * f
+            v *= f
+            scale *= f
         rev[i - 1] = v
     return rev[::-1], scale

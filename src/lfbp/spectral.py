@@ -439,10 +439,11 @@ class Eigenpair:
         if t.family == FAMILY_FINITE:
             return float(self.nu.vector @ self.u_vector)
         R, lam, m = self.summary.R, t.lam, t.m
+        c = t.c_sequence(256)
         acc = 0.0
         for w, comp in zip(self.nu.weights, self.nu.components):
             inner, term = 0.0, 1.0
-            for j in range(1, 257):
+            for j in range(1, len(c)):
                 term = (R * lam / (lam + j - 1.0)) * term
                 inc = term * comp.mgf_neg(float(j))
                 inner += inc
@@ -459,11 +460,15 @@ def eigen_build(triplet: LFTriplet, summary: SpectralSummary | None = None) -> E
     if summary.recurrence == R_TRANSIENT:
         raise ValueError("eigenpair requires an R-recurrent process")
     R = summary.R
+    nu = NuMeasure(triplet, R)
     u_vec = None
     if triplet.family == FAMILY_FINITE:
-        u_vec = np.array([(1.0 + triplet.m) * (k_resolvent_mass(triplet, x, R) - 1.0)
-                          for x in range(triplet.d)])
-    return Eigenpair(triplet, summary, NuMeasure(triplet, R), u_vec)
+        K = triplet.K
+        d = K.shape[0]
+        u_vec = np.empty(d)
+        for x in range(d):
+            u_vec[x] = (1.0 + triplet.m) * (k_resolvent_mass(triplet, x, R) - 1.0)
+    return Eigenpair(triplet, summary, nu, u_vec)
 
 
 def eigen_residuals(triplet: LFTriplet, pair: Eigenpair, grid=None) -> dict:
@@ -524,10 +529,22 @@ def pf_limit_check(triplet: LFTriplet, x, n_max: int = 40) -> list[PFLimitRow]:
     if summary.recurrence != R_POSITIVE:
         raise ValueError("ratio limit requires R-positive recurrence")
     pair = eigen_build(triplet, summary)
-    R, limit = summary.R, pair.u(x) * pair.nu.mass() / summary.beta
-    scaled = [R ** n * evolve(triplet, n).mn_mass(x) for n in range(1, n_max + 1)]
-    return [PFLimitRow(n, v, limit, abs(v - limit) / abs(limit))
-            for n, v in enumerate(scaled, 1)]
+    R = summary.R
+    limit = pair.u(x) * pair.nu.mass() / summary.beta
+    rows = []
+    if triplet.family == FAMILY_FINITE:
+        x = triplet.validate_point(x)
+        v = np.ones(triplet.d)
+        M = triplet.M
+        for n in range(1, n_max + 1):
+            v = R * (M @ v)
+            scaled = float(v[x])
+            rows.append(PFLimitRow(n, scaled, limit, abs(scaled - limit) / abs(limit)))
+    else:
+        for n in range(1, n_max + 1):
+            scaled = R ** n * evolve(triplet, n).mn_mass(x)
+            rows.append(PFLimitRow(n, scaled, limit, abs(scaled - limit) / abs(limit)))
+    return rows
 
 
 def hypergeom_phi(lam: float, mu: float, s: float) -> float:

@@ -300,6 +300,12 @@ def _generation_sum(triplet, n, w_spec, cap):
     return draw
 
 
+def _yaglom_draws(triplet, n, reps, seed, p, workers, cap=DEFAULT_CAP):
+    """(reps, 2) array of (Z_n, sum of w) per replicate, on streams (seed, i)."""
+    return replicate_map(_generation_sum, (triplet, n, p.spec, cap), reps,
+                         seed, workers).reshape(-1, 2)
+
+
 def yaglom_sample(triplet: LFTriplet, n: int, reps: int, seed: int,
                   w: str = "const", workers: int = 1,
                   cap: int = DEFAULT_CAP) -> np.ndarray:
@@ -311,8 +317,7 @@ def yaglom_sample(triplet: LFTriplet, n: int, reps: int, seed: int,
     invariant. A replicate that exceeds ``cap`` raises PopulationCapError.
     """
     p = probe(w) if isinstance(w, str) else w
-    return replicate_map(_generation_sum, (triplet, n, p.spec, cap), reps,
-                         seed, workers).reshape(-1, 2)[:, 1]
+    return _yaglom_draws(triplet, n, reps, seed, p, workers, cap)[:, 1]
 
 
 def conditioned_scaled_sample(triplet: LFTriplet, R: float, n: int,
@@ -330,8 +335,7 @@ def conditioned_scaled_sample(triplet: LFTriplet, R: float, n: int,
     nu_w = p.apply(NuMeasure(triplet, R))
     if not nu_w > 0.0:
         raise ValueError(f"--w {p.spec}: nu(w) = {nu_w!r} must be positive")
-    zw = replicate_map(_generation_sum, (triplet, n, p.spec, DEFAULT_CAP),
-                       reps, seed, workers).reshape(-1, 2)
+    zw = _yaglom_draws(triplet, n, reps, seed, p, workers)
     return zw[zw[:, 0] > 0, 1] / (scale * nu_w)
 
 

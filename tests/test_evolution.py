@@ -60,6 +60,24 @@ def test_renewal_solves_the_toeplitz_system():
         assert np.max(np.abs(c - want) / np.abs(want)) < 1e-12
 
 
+def test_renewal_sums_each_step_in_order():
+    # every step is summed a_1 c_{j-1} + a_2 c_{j-2} + ... left to right and
+    # then b_j added, whatever the number of lags, so the bits are pinned
+    rng = streams.stream(34, 0)
+    n = 60
+    for p in (3, 16, 40):
+        a = rng.random(p) * (1.2 / p)
+        b = rng.random(5)
+        c, scale = renewal(a, b, n)
+        want = []
+        for j in range(n + 1):
+            v = 0.0
+            for k in range(1, min(j, p) + 1):
+                v += float(a[k - 1]) * want[j - k]
+            want.append(v + (float(b[j]) if j < len(b) else 0.0))
+        assert scale == 1.0 and c.tolist() == want
+
+
 def test_renewal_rescales_by_powers_of_two():
     # c_j = 2^(300 j) leaves float64 at j = 4; the scaled entries stay
     # exactly scale * 2^(300 j)

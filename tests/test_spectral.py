@@ -190,6 +190,17 @@ def test_pf_limit_convergence(scalar_sub, exp_super):
     assert rows[-1].rel_err < rows[4].rel_err
 
 
+def test_pf_limit_survives_a_huge_growth_rate():
+    # rho = k (1 + m) = 5e8, so M^40(0, E) = rho^40 ~ 1e348 leaves float64;
+    # R^n M^n(0, E) = (R rho)^n does not
+    t = make_finite_triplet([[0.5]], [1.0], 1e9)
+    R = classify(t).R
+    rows = pf_limit_check(t, 0, n_max=40)
+    assert [r.n for r in rows] == list(range(1, 41))
+    for r in rows:
+        assert r.scaled_mass == pytest.approx((R * t.M[0, 0]) ** r.n, rel=1e-12)
+
+
 def test_degenerate_marked_line_is_transient():
     t = make_finite_triplet([[0.0, 0.0], [0.5, 0.4]], [1.0, 0.0], 1.5)
     s = classify(t)
