@@ -20,10 +20,10 @@ try:
 except _metadata.PackageNotFoundError:  # running from a source tree
     __version__ = "0.1.0"
 
-from .errors import (BracketError, PopulationCapError, QuadratureError,
-                     RegimeError, TripletFormatError, WalkCapError)
-from .evolution import (conditional_sample, evolve, gen_functional,
-                        gen_functional_iterated, survival_prob)
+from .errors import (PopulationCapError, QuadratureError, RegimeError,
+                     TripletFormatError, WalkCapError)
+from .evolution import (evolve, gen_functional, gen_functional_iterated,
+                        survival_prob)
 from .simulate import (replicate_zn, simulate_bgw, simulate_cmj,
                        simulate_contour, simulate_typed_lineage)
 from .spectral import (classify, eigen_build, eigen_residuals, power_iteration,
@@ -37,10 +37,9 @@ from .typespace import (make_exp_triplet, make_finite_triplet,
 
 __all__ = [
     "__version__",
-    "BracketError", "PopulationCapError", "QuadratureError", "RegimeError",
+    "PopulationCapError", "QuadratureError", "RegimeError",
     "TripletFormatError", "WalkCapError",
-    "conditional_sample", "evolve", "gen_functional",
-    "gen_functional_iterated", "survival_prob",
+    "evolve", "gen_functional", "gen_functional_iterated", "survival_prob",
     "replicate_zn", "simulate_bgw", "simulate_cmj", "simulate_contour",
     "simulate_typed_lineage",
     "classify", "eigen_build", "eigen_residuals", "power_iteration", "solve_R",

@@ -20,8 +20,8 @@ import sys
 import numpy as np
 
 from . import __version__, evolution, simulate, spectral, stats
-from .errors import (BracketError, PopulationCapError, QuadratureError,
-                     RegimeError, TripletFormatError, WalkCapError)
+from .errors import (PopulationCapError, QuadratureError, RegimeError,
+                     TripletFormatError, WalkCapError)
 from .typespace import (FAMILY_FINITE, LFTriplet, make_exp_triplet,
                         triplet_from_dict, triplet_to_dict)
 
@@ -392,7 +392,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (TripletFormatError, RegimeError, BracketError, ValueError) as exc:
+    except (TripletFormatError, RegimeError, ValueError) as exc:
         print(f"lfbp {args.command}: error: {exc}", file=sys.stderr)
         return 2
     except (PopulationCapError, WalkCapError) as exc:

@@ -31,15 +31,6 @@ class QuadratureError(RuntimeError):
         )
 
 
-class BracketError(RuntimeError):
-    """Root bracketing or bisection failed within the iteration budget."""
-
-    def __init__(self, message: str, lo: float = float("nan"), hi: float = float("nan")):
-        self.lo = lo
-        self.hi = hi
-        super().__init__(message)
-
-
 class PopulationCapError(RuntimeError):
     """A simulated population exceeded the configured cap.
 

@@ -282,9 +282,3 @@ def gen_functional_iterated(triplet: FiniteTriplet, x, n: int, h) -> float:
         denom = 1.0 + m - m * float(gam @ hv)
         hv = 1.0 - kmass + (K @ hv) / denom
     return float(hv[triplet.validate_point(x)])
-
-
-def conditional_sample(triplet: LFTriplet, x, n: int,
-                       rng: np.random.Generator) -> GenerationSnapshot:
-    """Sample generation n conditioned on survival; see GenerationLaw."""
-    return evolve(triplet, n).conditional_generation(x, rng)

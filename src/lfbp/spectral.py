@@ -7,14 +7,25 @@ The generating function f(s) = sum_{n>=1} d_n s^n controls everything here:
 * criticality: m f(1) < 1, = 1, > 1 (sub / critical / super),
 * the decay parameter R solving m f(R) = 1 with rho = 1/R, alpha = ln rho,
 * beta = m R f'(R), the inner product of the eigenpair,
-* u(x) = (1+m)(K^(R)(x, E) - 1) and nu = (m/(1+m)) gamma K^(R), satisfying
+* u(x) = (1+m) sum_{n>=1} R^n K^n(x, E) and nu = (m/(1+m)) gamma K^(R), with
   M u = rho u, nu M = rho nu, nu(E) = 1, gamma(u) = (1+m)/m, nu(u) = beta.
 
-Root-finding is bracketed bisection on the monotone f. In the finite family
-R_* = 1/rho for the largest Perron root rho over the strongly connected
-classes that gamma reaches (eigenvalues per class; 0 when no class has a
-cycle), and f is infinite from R_* on. Power iteration on the mean matrix
-serves as an independent cross-oracle for 1/R.
+R is the root of g(u) = log(m f(e^u)), found by Newton's method. g is a
+log-sum of e^{nu} with nonnegative weights, hence convex and increasing: from
+the right of the root the iterates decrease monotonically to it, and a step
+from the left lands on its right unless halved. The iterate is kept as
+s = e^u, s <- s exp(-g f/(s f'(s))), so R has full relative precision at any
+scale; a step to where f is infinite (past R_*, or overflow) is halved. A
+critical |m f(1) - 1| <= 1e-10 gives R = 1 exactly.
+
+In the finite family R_* = 1/rho for the largest Perron root rho over the
+strongly connected classes that gamma reaches (eigenvalues per class; 0 when
+no class has a cycle), and d_n >= c rho^n makes f(R_*) infinite; in the exp
+family R_* is infinite and f unbounded. So m f(R) = 1 has a root R < R_*,
+with f'(R) finite, unless f = 0: R-null cannot occur and R-transient means
+degenerate. A root that float64 cannot resolve, |m f(R) - 1| > 64 eps
+max(1, beta) (say m so small that R rounds onto R_*), raises a ValueError
+naming m. Power iteration on M is an independent cross-oracle for 1/R.
 """
 
 from __future__ import annotations
@@ -25,7 +36,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hypoexp
-from .errors import BracketError
 from .evolution import evolve
 from .measures import MixtureMeasure, VectorMeasure
 from .typespace import FAMILY_EXP, FAMILY_FINITE, ExpFamilyTriplet, LFTriplet
@@ -35,11 +45,11 @@ CRITICAL = "critical"
 SUPERCRITICAL = "supercritical"
 
 R_POSITIVE = "R-positive"
-R_NULL = "R-null"
 R_TRANSIENT = "R-transient"
 
 _CRIT_TOL = 1e-10
-_BISECT_MAX = 200
+_EPS = float(np.finfo(float).eps)
+_NEWTON_MAX = 100
 
 
 # ---------------------------------------------------------------------------
@@ -90,18 +100,17 @@ class LifeLengthLaw:
     def f_eval(self, s: float) -> float:
         """f(s) = sum_{n>=1} d_n s^n; math.inf at or beyond the radius.
 
-        Finite family: gamma reaches a class with Perron root rho = 1/R_*,
-        so d_n >= c rho^n and the series diverges at R_* (Perron-Frobenius).
+        Finite family: f(s) = s gamma (I - sK)^{-1} K 1, with no cancellation
+        at small s. gamma reaches a class with Perron root rho = 1/R_*, so
+        d_n >= c rho^n and the series diverges at R_* (Perron-Frobenius).
         """
         if s < 0:
             raise ValueError("s must be nonnegative")
-        if s == 0.0:
-            return 0.0
         if self.family == FAMILY_FINITE:
             if s >= self.radius():
                 return math.inf
-            w = np.linalg.solve(np.eye(len(self._gam)) - s * self._K, np.ones(len(self._gam)))
-            return float(self._gam @ w - self._gam.sum())
+            w = np.linalg.solve(np.eye(len(self._gam)) - s * self._K, self._K.sum(axis=1))
+            return s * float(self._gam @ w)
         return self._exp_series(s, derivative=False)
 
     def f_derivative(self, s: float) -> float:
@@ -113,18 +122,13 @@ class LifeLengthLaw:
         if self.family == FAMILY_FINITE:
             if s >= self.radius():
                 return math.inf
-            A = np.eye(len(self._gam)) - s * self._K
-            w = np.linalg.solve(A, np.ones(len(self._gam)))
-            return float(self._gam @ np.linalg.solve(A, self._K @ w))
+            A = np.eye(len(self._gam)) - s * self._K     # f'(s) = gamma A^{-2} K 1
+            return float(self._gam @ np.linalg.solve(A, np.linalg.solve(A, self._K.sum(axis=1))))
         return self._exp_series(s, derivative=True)
 
     def mean(self) -> float:
         """E L = 1 + f(1)."""
         return 1.0 + self.f_eval(1.0)
-
-    def is_degenerate(self) -> bool:
-        """True when K(., E) vanishes gamma-a.s., so L = 1 surely and f = 0."""
-        return float(self.tails(1)[1]) == 0.0
 
     # -- samplers -------------------------------------------------------------
 
@@ -165,7 +169,7 @@ class LifeLengthLaw:
         for n in range(1, 100000):
             ratio = s * (lam / (lam + n)) * ((mu + n) / (mu + n + 1.0))
             term *= ratio
-            inc = term if not derivative else (n + 1) * term / s
+            inc = term if not derivative else (n + 1) / s * term
             total += inc
             if not math.isfinite(total):
                 return math.inf
@@ -274,15 +278,15 @@ class SpectralSummary:
 
 
 def solve_R(law: LifeLengthLaw, m: float) -> SpectralSummary:
-    """Locate the decay parameter: the root of m f(R) = 1, or R_* without one.
+    """Decay parameter R, the root of m f(R) = 1 (see the module docstring).
 
-    f is strictly increasing with f(0) = 0, so a sign bracket plus bisection
-    is exact and certified (200 halvings at most); a critical m f(1) = 1 gives
-    R = 1 with no bisection. When f(R_*) < 1/m the process is R-transient and
-    no Malthusian parameter exists.
+    A degenerate f = 0 has no root: R-transient, with R = R_*. Raises a
+    ValueError naming m when m f(1) overflows or R cannot be resolved.
     """
     f1 = law.f_eval(1.0)
-    mf1 = m * f1 if math.isfinite(f1) else math.inf
+    mf1 = m * f1
+    if math.isinf(mf1) and math.isfinite(f1):
+        raise ValueError(f"m = {m!r}: m f(1) overflows float64")
     if abs(mf1 - 1.0) <= _CRIT_TOL:
         crit = CRITICAL
     elif mf1 < 1.0:
@@ -290,55 +294,43 @@ def solve_R(law: LifeLengthLaw, m: float) -> SpectralSummary:
     else:
         crit = SUPERCRITICAL
     R_star = law.radius()
-    mean_life = 1.0 + f1 if math.isfinite(f1) else math.inf
 
-    if law.is_degenerate():
+    if f1 == 0.0:
         # f vanishes identically: the marked line dies immediately, gamma-a.s.
         return SpectralSummary(crit, R_TRANSIENT, R_star, R_star, None, None,
                                None, 0.0, 0.0, 1.0)
 
-    target = 1.0 / m
-    f_at_star = law.f_eval(R_star) if math.isfinite(R_star) else math.inf
-    if f_at_star < target:
-        return SpectralSummary(crit, R_TRANSIENT, R_star, R_star, None, None,
-                               None, mf1, f1, mean_life)
-
-    if crit == CRITICAL:
-        R = 1.0                          # |m f(1) - 1| <= _CRIT_TOL
-    else:
-        lo, hi = 0.0, _bracket_high(law, target, R_star)
-        for _ in range(_BISECT_MAX):
-            mid = 0.5 * (lo + hi)
-            if law.f_eval(mid) < target:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo <= 1e-14 * max(1.0, hi):
-                break
-        R = 0.5 * (lo + hi)
-    fprime = law.f_derivative(R)
-    recurrence = R_POSITIVE if math.isfinite(fprime) and fprime < 1e12 else R_NULL
-    beta = m * R * fprime if math.isfinite(fprime) else math.inf
+    R = 1.0 if crit == CRITICAL else _newton_root(law, m, min(1.0, 0.5 * R_star))
+    beta = m * R * law.f_derivative(R)
+    tol = 64 * _EPS * max(1.0, beta)                 # the backward error float64 reaches
+    if crit != CRITICAL and not abs(m * law.f_eval(R) - 1.0) <= tol < math.inf:
+        raise ValueError(f"m = {m!r}: float64 cannot resolve the root of m f(R) = 1")
     rho = 1.0 / R
-    return SpectralSummary(crit, recurrence, R, R_star, rho, math.log(rho),
-                           beta, mf1, f1, mean_life)
+    return SpectralSummary(crit, R_POSITIVE, R, R_star, rho, math.log(rho),
+                           beta, mf1, f1, 1.0 + f1)
 
 
-def _bracket_high(law: LifeLengthLaw, target: float, R_star: float) -> float:
-    if math.isfinite(R_star):
-        for j in range(1, 60):
-            s = R_star * (1.0 - 2.0 ** (-j))
-            if law.f_eval(s) >= target:
-                return s
-        raise BracketError(
-            f"f stays below {target:.6g} up to R_* (1 - 2^-59); cannot bracket",
-            lo=0.0, hi=R_star)
-    s = 1.0
-    for _ in range(200):
-        if law.f_eval(s) >= target:
-            return s
-        s *= 2.0
-    raise BracketError(f"f never reached {target:.6g} while doubling s", lo=0.0, hi=s)
+def _newton_root(law: LifeLengthLaw, m: float, s: float) -> float:
+    """Newton's method on g(u) = log(m f(e^u)) in s = e^u, started at s."""
+    f, g_right = law.f_eval(s), math.inf            # g at the last iterate right of the root
+    for _ in range(_NEWTON_MAX):
+        mf = m * f                                  # near the root log(m f) is exact
+        g = math.log(mf) if 0.0 < mf < math.inf else math.log(m) + math.log(f)
+        if abs(g) >= g_right:
+            break                                   # |g| stopped falling: rounding noise
+        g_right = g if g > 0.0 else math.inf
+        # g'(u) = s f'(s)/f(s) >= 1; math.exp raises past 709
+        step = min(-g / (s / f * law.f_derivative(s)), 700.0)
+        t = s * math.exp(step)
+        while not 0.0 < (ft := law.f_eval(t)) < math.inf and abs(step) > _EPS:
+            step *= 0.5                             # past R_* or into overflow
+            t = s * math.exp(step)
+        if not 0.0 < ft < math.inf:
+            break
+        s, f = t, ft
+        if abs(step) <= 4 * _EPS:
+            break
+    return s
 
 
 def classify(triplet: LFTriplet) -> SpectralSummary:
@@ -352,6 +344,11 @@ def classify(triplet: LFTriplet) -> SpectralSummary:
 
 def k_resolvent_mass(triplet: LFTriplet, x, s: float) -> float:
     """K^(s)(x, E) = sum_n s^n K^n(x, E); math.inf where the series diverges."""
+    return 1.0 + _resolvent_excess(triplet, x, s)
+
+
+def _resolvent_excess(triplet: LFTriplet, x, s: float) -> float:
+    """sum_{n>=1} s^n K^n(x, E), free of cancellation; math.inf where it diverges."""
     if s < 0:
         raise ValueError("s must be nonnegative")
     x = triplet.validate_point(x)
@@ -361,14 +358,14 @@ def k_resolvent_mass(triplet: LFTriplet, x, s: float) -> float:
         rho = _perron_root(sub, paths)
         if rho > 0 and s >= 1.0 / rho:
             return math.inf
-        w = np.linalg.solve(np.eye(len(reach)) - s * sub, np.ones(len(reach)))
+        w = np.linalg.solve(np.eye(len(reach)) - s * sub, s * sub.sum(axis=1))
         return float(w[int(np.flatnonzero(reach == x)[0])])
     lam = triplet.lam
-    total, term = 1.0, 1.0
+    total, term = 0.0, 1.0
     for n in range(100000):
         term *= s * lam / (lam + n) * math.exp(-x)
         total += term
-        if term < 1e-17 * total:
+        if term <= 1e-17 * total:
             break
     return total
 
@@ -416,11 +413,8 @@ class Eigenpair:
     u_vector: np.ndarray | None = None  # finite family
 
     def u(self, x) -> float:
-        """u(x) = (1+m)(K^(R)(x, E) - 1); infinite outside E_R."""
-        t = self.triplet
-        if t.family == FAMILY_FINITE:
-            return float(self.u_vector[t.validate_point(x)])
-        return (1.0 + t.m) * (k_resolvent_mass(t, x, self.summary.R) - 1.0)
+        """u(x) = (1+m) sum_{n>=1} R^n K^n(x, E); infinite outside E_R."""
+        return (1.0 + self.triplet.m) * _resolvent_excess(self.triplet, x, self.summary.R)
 
     @property
     def beta(self) -> float:
@@ -454,21 +448,15 @@ class Eigenpair:
 
 
 def eigen_build(triplet: LFTriplet, summary: SpectralSummary | None = None) -> Eigenpair:
-    """Construct (u, nu, beta) for an R-recurrent triplet."""
+    """Construct (u, nu, beta) for an R-positive triplet."""
     if summary is None:
         summary = classify(triplet)
     if summary.recurrence == R_TRANSIENT:
-        raise ValueError("eigenpair requires an R-recurrent process")
-    R = summary.R
-    nu = NuMeasure(triplet, R)
-    u_vec = None
+        raise ValueError("eigenpair requires an R-positive process")
+    pair = Eigenpair(triplet, summary, NuMeasure(triplet, summary.R))
     if triplet.family == FAMILY_FINITE:
-        K = triplet.K
-        d = K.shape[0]
-        u_vec = np.empty(d)
-        for x in range(d):
-            u_vec[x] = (1.0 + triplet.m) * (k_resolvent_mass(triplet, x, R) - 1.0)
-    return Eigenpair(triplet, summary, nu, u_vec)
+        pair.u_vector = np.array([pair.u(x) for x in range(triplet.d)])
+    return pair
 
 
 def eigen_residuals(triplet: LFTriplet, pair: Eigenpair, grid=None) -> dict:
@@ -526,8 +514,6 @@ class PFLimitRow:
 def pf_limit_check(triplet: LFTriplet, x, n_max: int = 40) -> list[PFLimitRow]:
     """Tabulate R^n M^n(x, E) against u(x) nu(E) / beta for n = 1..n_max."""
     summary = classify(triplet)
-    if summary.recurrence != R_POSITIVE:
-        raise ValueError("ratio limit requires R-positive recurrence")
     pair = eigen_build(triplet, summary)
     R = summary.R
     limit = pair.u(x) * pair.nu.mass() / summary.beta

@@ -319,6 +319,16 @@ def test_bad_triplet_exits_2(capsys):
     assert rc == 2 and "error" in err
 
 
+def test_unresolvable_root_exits_2_naming_m(capsys):
+    # R lies within float64 rounding of R_* = 1/rho(K), so m f(R) = 1 has no
+    # float64 solution
+    rc = main(["classify", "--triplet", '{"family":"finite","K":[[0.5,0.2],[0.1,0.3]],'
+               '"gamma":[1.0,0.0],"m":1e-20}'])
+    captured = capsys.readouterr()
+    assert rc == 2 and captured.out == ""
+    assert "m = 1e-20" in captured.err
+
+
 def test_missing_triplet_file_exits_2(capsys, tmp_path):
     rc = main(["classify", "--triplet", str(tmp_path / "nope.json")])
     assert rc == 2

@@ -1,8 +1,8 @@
-"""Generated `limits`, `yaglom`, `renewal`, `survive` and `distribution`
-command lines never crash.
+"""Generated `limits`, `yaglom`, `renewal`, `survive`, `distribution` and
+`classify` command lines never crash.
 
 Every run ends in a documented exit code with no traceback, and a report
-that exits 0 states no NaN or infinity.
+that exits 0 states no NaN or infinity (bar an exp triplet's R_star).
 """
 
 import contextlib
@@ -74,12 +74,20 @@ def exact_argv(draw):
             doc, "--n", str(draw(st.integers(0, 400)))]
 
 
-@settings(max_examples=200, deadline=None, derandomize=True)
-@given(st.one_of(limits_argv(), yaglom_argv(), renewal_argv(), exact_argv()),
-       tols)
-def test_cli_exits_cleanly(argv, tol):
-    if tol is not None:
-        argv = argv + ["--tol", tol]
+@st.composite
+def classify_argv(draw):
+    # m log-uniform over the positive float64 range, 5e-324 to 1.78e308: the
+    # root of m f(R) = 1 is resolved or the run exits 2
+    m = 10.0 ** draw(st.floats(-323.3, 308.25))
+    if draw(st.booleans()):
+        doc = {"family": "scalar", "k": draw(st.floats(1e-3, 0.999)), "m": m}
+    else:
+        doc = {"family": "exp", "lambda": draw(st.floats(0.1, 10.0)),
+               "mu": draw(st.floats(0.1, 10.0)), "m": m}
+    return ["classify", "--triplet", json.dumps(doc)]
+
+
+def run_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
@@ -89,4 +97,20 @@ def test_cli_exits_cleanly(argv, tol):
     assert rc in EXIT_CODES, (argv, rc)
     assert "Traceback" not in err.getvalue()
     if rc == 0:
-        assert "NaN" not in out.getvalue() and "Infinity" not in out.getvalue()
+        text = out.getvalue()
+        if argv[0] == "classify":     # R_* is infinite in the exp family
+            text = text.replace('"R_star": Infinity', "")
+        assert "NaN" not in text and "Infinity" not in text, (argv, text)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(limits_argv(), yaglom_argv(), renewal_argv(), exact_argv()),
+       tols)
+def test_cli_exits_cleanly(argv, tol):
+    run_cleanly(argv if tol is None else argv + ["--tol", tol])
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(classify_argv())
+def test_classify_exits_cleanly(argv):
+    run_cleanly(argv)

@@ -37,6 +37,9 @@ EXP_BETA = 1.288065682551018
     (0.5, 1.0, "critical"),
     (1.0 / 3.0, 2.0, "critical"),
     (0.2, 4.0, "critical"),
+    # m f(1) = 1 exactly; f(1) must not be 1/(1-k) - 1, which cancels
+    (1e-9, (1.0 - 1e-9) / 1e-9, "critical"),
+    (1e-6, (1.0 - 1e-6) / 1e-6, "critical"),
     (0.75, 1.0, "supercritical"),
 ])
 def test_scalar_closed_forms(k, m, crit):
@@ -199,6 +202,47 @@ def test_pf_limit_survives_a_huge_growth_rate():
     assert [r.n for r in rows] == list(range(1, 41))
     for r in rows:
         assert r.scaled_mass == pytest.approx((R * t.M[0, 0]) ** r.n, rel=1e-12)
+        assert r.rel_err <= 1e-12      # R and u carry full relative precision
+
+
+# -- the root of m f(R) = 1 ---------------------------------------------------------
+
+
+def _random_root_triplet(rng, i):
+    """Finite (full, reducible or nilpotent K, d up to 64) or exp triplet with m
+    log-uniform in [1e-3, 1e300]."""
+    m = 10.0 ** rng.uniform(-3.0, 300.0)
+    if i % 4 == 3:
+        lam, mu = 10.0 ** rng.uniform(-1.0, 1.0, 2)
+        return make_exp_triplet(float(lam), float(mu), m)
+    d = int(rng.integers(2, 65)) if i % 2 else int(rng.integers(2, 8))
+    K = rng.random((d, d)) * (rng.random((d, d)) < rng.uniform(0.1, 1.0))
+    K = (K, np.triu(K), np.triu(K, 1))[i % 4]   # full, reducible, nilpotent
+    K[0, 1] += 0.1                               # gamma sees a live state
+    K *= rng.uniform(0.05, 0.95, (d, 1)) / np.maximum(K.sum(axis=1, keepdims=True), 1e-300)
+    gam = rng.random(d) * (rng.random(d) < 0.5)
+    gam[0] += 0.1
+    return make_finite_triplet(K, gam / gam.sum(), m)
+
+
+def test_root_has_float64_backward_error():
+    # the residual of m f(R) = 1 itself, not 1/R against a Perron root of M
+    rng = streams.stream(411, 0)
+    eps = np.finfo(float).eps
+    for i in range(160):
+        t = _random_root_triplet(rng, i)
+        s = classify(t)
+        assert s.recurrence == "R-positive"
+        assert abs(t.m * LifeLengthLaw(t).f_eval(s.R) - 1.0) <= 64 * eps * max(1.0, s.beta)
+
+
+def test_root_at_extreme_scales():
+    s = classify(make_finite_triplet([[0.5]], [1.0], 1e300))
+    assert s.R == pytest.approx(2e-300, rel=1e-14)
+    assert s.beta == pytest.approx(1.0, rel=1e-14)
+    # the README's 2-type example: R = 0.8 exactly
+    s = classify(make_finite_triplet([[0.2, 0.3], [0.4, 0.1]], [0.5, 0.5], 1.5))
+    assert abs(s.R - 0.8) <= math.ulp(0.8)
 
 
 def test_degenerate_marked_line_is_transient():
