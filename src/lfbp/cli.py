@@ -310,7 +310,9 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=__version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, triplet=True, seed=False, reps=False, n=None):
+    def common(p, triplet=True, seed=False, reps=False, n=None,
+               formats=("json",), tol=False, workers=False):
+        # --tol and --workers only where read; --format offers what p writes
         if triplet:
             p.add_argument("--triplet", required=True,
                            help="inline JSON or path to a JSON file")
@@ -323,9 +325,11 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--n", type=n, required=True,
                            help="generation horizon")
         p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--workers", type=_count(1), default=1)
-        p.add_argument("--tol", type=_tolerance, default=None)
+        p.add_argument("--format", choices=formats, default=formats[0])
+        if workers:
+            p.add_argument("--workers", type=_count(1), default=1)
+        if tol:
+            p.add_argument("--tol", type=_tolerance, default=None)
 
     p = sub.add_parser("classify", help="criticality, R, rho, alpha, beta, E[L]")
     common(p)
@@ -333,12 +337,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phase-grid",
                        help="CSV of (lam, mu, alpha, beta, E[L], class) nodes")
-    common(p, triplet=False)
+    common(p, triplet=False, formats=("csv",))
     p.add_argument("--m", type=float, required=True)
     p.add_argument("--lambda-range", required=True, metavar="LO:HI")
     p.add_argument("--mu-range", required=True, metavar="LO:HI")
     p.add_argument("--grid", type=int, default=50)
-    p.set_defaults(fn=cmd_phase_grid, format="csv")
+    p.set_defaults(fn=cmd_phase_grid)
 
     p = sub.add_parser("survive", help="exact P_x(Z_n > 0)")
     common(p, n=int)
@@ -352,19 +356,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_distribution)
 
     p = sub.add_parser("simulate", help="per-replicate Z_n CSV")
-    common(p, seed=True, reps=True, n=int)
+    common(p, seed=True, reps=True, n=int, formats=("csv",), workers=True)
     p.add_argument("--simulator", choices=simulate.SIMULATORS, default="bgw")
     p.add_argument("--start", default="gamma",
                    help="'gamma' or an ancestor type (bgw only)")
-    p.set_defaults(fn=cmd_simulate, format="csv")
+    p.set_defaults(fn=cmd_simulate)
 
     p = sub.add_parser("crosscheck",
                        help="pairwise KS table across the three simulators")
-    common(p, seed=True, reps=True, n=int)
+    common(p, seed=True, reps=True, n=int, formats=("json", "csv"), workers=True)
     p.set_defaults(fn=cmd_crosscheck)
 
     p = sub.add_parser("limits", help="regime limit-theorem verification report")
-    common(p)
+    common(p, tol=True, workers=True)
     p.add_argument("--x", help="ancestor type (index, default 0; or real, default 1.0)")
     p.add_argument("--grid", help="comma-separated n grid")
     p.add_argument("--reps", type=_count(0), default=0,
@@ -375,12 +379,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("yaglom",
                        help="conditioned scaled-population law vs exponential")
-    common(p, seed=True, reps=True, n=_count(1))
+    common(p, seed=True, reps=True, n=_count(1), workers=True)
     p.add_argument("--w", help="probe (default const)")
     p.set_defaults(fn=cmd_yaglom)
 
     p = sub.add_parser("renewal", help="c_n = b_n + sum a_k c_{n-k} utility")
-    common(p, triplet=False, n=_count(0))
+    common(p, triplet=False, n=_count(0), formats=("json", "csv"), tol=True)
     p.add_argument("--a", required=True, help="comma list, lag 1 first")
     p.add_argument("--b", required=True, help="comma list, lag 0 first")
     p.set_defaults(fn=cmd_renewal)

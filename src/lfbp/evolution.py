@@ -70,8 +70,9 @@ class GenerationLaw:
             gks = np.array([r.sum() for r in rows])  # g_k
             self.m_n = float(t.m * gks.sum())
         self._check_mn()
+        # a g_k that underflowed to 0 carries weight 0
         self.gamma_n = VectorMeasure(sum(w * (r / g) for w, r, g in
-                                         zip(t.m * gks / self.m_n, rows, gks)))
+                                         zip(t.m * gks / self.m_n, rows, gks) if g))
         self._Mn = np.linalg.matrix_power(M, n)
         frac = self.m_n / (1.0 + self.m_n)
         self.Kn = self._Mn - frac * np.outer(self._Mn @ np.ones(t.d),

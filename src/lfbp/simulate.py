@@ -100,23 +100,6 @@ def bgw_generation(triplet: LFTriplet, start, n: int, rng: np.random.Generator,
 
 
 # ---------------------------------------------------------------------------
-# life lengths
-# ---------------------------------------------------------------------------
-
-def sample_life_length(law: LifeLengthLaw, rng: np.random.Generator,
-                       size: int | None = None, cap: int | None = None):
-    """Draw L with P(L > n) = d_n by inverse transform on the tail.
-
-    Uncapped draws extend the tail until the certified remainder is below
-    1e-15 (assigned past the last index). ``cap`` truncates at cap+1, exact
-    for every event determined by {L <= cap}.
-    """
-    if cap is not None:
-        return law.sample_capped(rng, cap, size=size)
-    return law.sample(rng, size=size)
-
-
-# ---------------------------------------------------------------------------
 # embedded CMJ population
 # ---------------------------------------------------------------------------
 

@@ -10,6 +10,22 @@ The generating function f(s) = sum_{n>=1} d_n s^n controls everything here:
 * u(x) = (1+m) sum_{n>=1} R^n K^n(x, E) and nu = (m/(1+m)) gamma K^(R), with
   M u = rho u, nu M = rho nu, nu(E) = 1, gamma(u) = (1+m)/m, nu(u) = beta.
 
+All of them are read off one resolvent per family, sum_n s^n K^n(x, E),
+whose gamma-average is 1 + f(s):
+
+* Finite family: one cached class analysis per triplet (``_classes``) holds
+  the path closure of K and r(x), the spectral radius of K on the states x
+  reaches (the largest Perron root of its classes there, by eigvals; 0 when
+  none has a cycle). R_* = 1 / max r over gamma's reach, the block where f
+  and f' solve. u is one solve on E_R = {x : R r(x) < 1}, which no path
+  leaves, and infinite elsewhere.
+* Exp family: K^n(x, E) = c_n e^{-nx}, and one cached tilted sequence
+  s^n c_n (``_tilt``), built by the ratio s lambda/(lambda + n) and never by
+  a power of s, gives f, f', u(x), the weights s^r d_r of gamma K^(s) and
+  nu(u).
+
+An ``Eigenpair`` builds nu and the finite u vector on first use.
+
 R is the root of g(u) = log(m f(e^u)), found by Newton's method. g is a
 log-sum of e^{nu} with nonnegative weights, hence convex and increasing: from
 the right of the root the iterates decrease monotonically to it, and a step
@@ -18,9 +34,7 @@ s = e^u, s <- s exp(-g f/(s f'(s))), so R has full relative precision at any
 scale; a step to where f is infinite (past R_*, or overflow) is halved. A
 critical |m f(1) - 1| <= 1e-10 gives R = 1 exactly.
 
-In the finite family R_* = 1/rho for the largest Perron root rho over the
-strongly connected classes that gamma reaches (eigenvalues per class; 0 when
-no class has a cycle), and d_n >= c rho^n makes f(R_*) infinite; in the exp
+In the finite family d_n >= c (1/R_*)^n makes f(R_*) infinite; in the exp
 family R_* is infinite and f unbounded. So m f(R) = 1 has a root R < R_*,
 with f'(R) finite, unless f = 0: R-null cannot occur and R-transient means
 degenerate. A root that float64 cannot resolve, |m f(R) - 1| > 64 eps
@@ -32,12 +46,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import hypoexp
-from .evolution import evolve
 from .measures import MixtureMeasure, VectorMeasure
+from .recursions import renewal
 from .typespace import FAMILY_EXP, FAMILY_FINITE, ExpFamilyTriplet, LFTriplet
 
 SUBCRITICAL = "subcritical"
@@ -53,6 +68,69 @@ _NEWTON_MAX = 100
 
 
 # ---------------------------------------------------------------------------
+# the two resolvents: finite class analysis, exp tilted sequence
+# ---------------------------------------------------------------------------
+
+@lru_cache(maxsize=32)
+def _classes(triplet) -> tuple[np.ndarray, np.ndarray]:
+    """(live, r) of a finite triplet, read-only: the mask of the states gamma
+    reaches, and r(x), the spectral radius of K on the states x reaches.
+
+    A class (mutually reachable states on a cycle) has a simple Perron root,
+    found by eigvals; states on no cycle add 0, so nilpotent blocks give 0.
+    """
+    K = triplet.K
+    paths = K > 0.0
+    for _ in range(max(len(K) - 1, 0).bit_length()):   # path length 2^k >= d
+        paths |= (paths.astype(float) @ paths.astype(float)) > 0.0
+    own = np.zeros(len(K))                              # Perron root of x's class
+    for i in np.flatnonzero(np.diag(paths)):
+        cls = np.flatnonzero(paths[i] & paths[:, i])
+        if cls[0] == i:                                 # each class once
+            own[cls] = np.abs(np.linalg.eigvals(K[np.ix_(cls, cls)])).max()
+    reach = paths | np.eye(len(K), dtype=bool)
+    live, r = reach[triplet.gamma_vector > 0].any(axis=0), (reach * own).max(axis=1)
+    live.setflags(write=False)
+    r.setflags(write=False)
+    return live, r
+
+
+@lru_cache(maxsize=64)
+def _tilt(lam: float, s: float) -> np.ndarray:
+    """s^n c_n for n = 0..N, so that s^n K^n(x, E) = s^n c_n e^{-nx} (exp family).
+
+    N is the first n >= 1 where the next ratio s lambda/(lambda + n) is below
+    1/2 and the term at most 1e-17 of the largest, so the dropped tail is
+    below 2e-17 of every series here. An overflow ends the sequence at inf,
+    which makes those series infinite.
+    """
+    t, peak, ratio = [1.0], 0.0, s
+    while True:
+        t.append(t[-1] * ratio)
+        peak = max(peak, t[-1])
+        ratio = s * (lam / (lam + len(t) - 1))
+        if not t[-1] < math.inf or (ratio < 0.5 and t[-1] <= 1e-17 * peak):
+            break
+    out = np.array(t)
+    out.setflags(write=False)
+    return out
+
+
+def _tilted_tails(t: ExpFamilyTriplet, s: float) -> np.ndarray:
+    """s^n d_n = s^n c_n mu/(mu + n) for n = 0..N, from the tilted sequence."""
+    tilt = _tilt(t.lam, s)
+    return tilt * (t.mu / (t.mu + np.arange(len(tilt))))
+
+
+def _total(terms) -> float:
+    """Correctly rounded sum of nonnegative terms; math.inf when it overflows."""
+    try:
+        return math.fsum(np.asarray(terms).tolist())
+    except OverflowError:
+        return math.inf
+
+
+# ---------------------------------------------------------------------------
 # life length law
 # ---------------------------------------------------------------------------
 
@@ -65,18 +143,21 @@ class LifeLengthLaw:
     def __init__(self, triplet: LFTriplet):
         self.triplet = triplet
         self.family = triplet.family
-        self._d = triplet.d_sequence(64)
+        self._d = np.zeros(0)
+        self._R_star = math.inf
         if self.family == FAMILY_FINITE:
-            # K and gamma on the gamma-reachable states, where f lives
-            reach, paths = _reachable(triplet.K, np.flatnonzero(triplet.gamma_vector > 0))
-            self._K = triplet.K[np.ix_(reach, reach)]
-            self._gam = triplet.gamma_vector[reach]
-            self._rho_reach = _perron_root(self._K, paths)
+            # K and gamma on gamma's reach, where f lives
+            self._live, r = _classes(triplet)
+            self._K = triplet.K[np.ix_(self._live, self._live)]
+            self._gam = triplet.gamma_vector[self._live]
+            self._k1 = self._K.sum(axis=1)
+            if (rho := float(r[self._live].max())) > 0.0:
+                self._R_star = 1.0 / rho
 
     def tails(self, n: int) -> np.ndarray:
         """d_0..d_n."""
         if n >= len(self._d):
-            self._d = self.triplet.d_sequence(max(n, 2 * len(self._d)))
+            self._d = self.triplet.d_sequence(max(n, 64, 2 * len(self._d)))
         return self._d[: n + 1]
 
     def pmf(self, n: int) -> float:
@@ -87,15 +168,9 @@ class LifeLengthLaw:
         return float(d[n - 1] - d[n])
 
     def radius(self) -> float:
-        """Radius of convergence R_* of f.
-
-        Exponential family: the coefficients decay factorially, so R_* is
-        infinite. Finite family: 1 / (Perron root of K restricted to the
-        gamma-reachable states); infinite when that block is nilpotent.
-        """
-        if self.family == FAMILY_EXP or self._rho_reach == 0.0:
-            return math.inf
-        return 1.0 / self._rho_reach
+        """Radius of convergence R_* of f: infinite in the exp family, whose
+        coefficients decay factorially, and for a nilpotent gamma block."""
+        return self._R_star
 
     def f_eval(self, s: float) -> float:
         """f(s) = sum_{n>=1} d_n s^n; math.inf at or beyond the radius.
@@ -106,12 +181,12 @@ class LifeLengthLaw:
         """
         if s < 0:
             raise ValueError("s must be nonnegative")
-        if self.family == FAMILY_FINITE:
-            if s >= self.radius():
-                return math.inf
-            w = np.linalg.solve(np.eye(len(self._gam)) - s * self._K, self._K.sum(axis=1))
-            return s * float(self._gam @ w)
-        return self._exp_series(s, derivative=False)
+        if self.family == FAMILY_EXP:
+            return _total(_tilted_tails(self.triplet, s)[1:])
+        if s >= self._R_star:
+            return math.inf
+        w = np.linalg.solve(np.eye(len(self._gam)) - s * self._K, self._k1)
+        return s * float(self._gam @ w)
 
     def f_derivative(self, s: float) -> float:
         """f'(s); math.inf when the series for f' diverges at s."""
@@ -119,12 +194,13 @@ class LifeLengthLaw:
             raise ValueError("s must be nonnegative")
         if s == 0.0:
             return float(self.tails(1)[1])
-        if self.family == FAMILY_FINITE:
-            if s >= self.radius():
-                return math.inf
-            A = np.eye(len(self._gam)) - s * self._K     # f'(s) = gamma A^{-2} K 1
-            return float(self._gam @ np.linalg.solve(A, np.linalg.solve(A, self._K.sum(axis=1))))
-        return self._exp_series(s, derivative=True)
+        if self.family == FAMILY_EXP:
+            dt = _tilted_tails(self.triplet, s)
+            return _total(np.arange(len(dt)) * dt) / s
+        if s >= self._R_star:
+            return math.inf
+        A = np.eye(len(self._gam)) - s * self._K     # f'(s) = gamma A^{-2} K 1
+        return float(self._gam @ np.linalg.solve(A, np.linalg.solve(A, self._k1)))
 
     def mean(self) -> float:
         """E L = 1 + f(1)."""
@@ -158,58 +234,6 @@ class LifeLengthLaw:
             n *= 2
             d = self.tails(n)
         return self.sample_capped(rng, len(d) - 1, size=size)
-
-    # -- internals ------------------------------------------------------------
-
-    def _exp_series(self, s: float, derivative: bool) -> float:
-        t: ExpFamilyTriplet = self.triplet
-        lam, mu = t.lam, t.mu
-        term = s * mu / (mu + 1.0)  # d_1 s
-        total = term if not derivative else term / s
-        for n in range(1, 100000):
-            ratio = s * (lam / (lam + n)) * ((mu + n) / (mu + n + 1.0))
-            term *= ratio
-            inc = term if not derivative else (n + 1) / s * term
-            total += inc
-            if not math.isfinite(total):
-                return math.inf
-            if abs(inc) < 1e-17 * max(abs(total), 1e-300) and ratio < 0.5:
-                break
-        return total
-
-
-def _paths(K: np.ndarray) -> np.ndarray:
-    """Boolean matrix: j is reachable from i in one or more steps of K."""
-    reach = K > 0.0
-    for _ in range(max(K.shape[0] - 1, 0).bit_length()):   # path length 2^k >= d
-        reach |= (reach.astype(float) @ reach.astype(float)) > 0.0
-    return reach
-
-
-def _reachable(K: np.ndarray, start: np.ndarray):
-    """States reachable from ``start`` (included) along positive entries of K,
-    and the path closure on them, which is that of the restricted block."""
-    paths = _paths(K)
-    seen = paths[start].any(axis=0)
-    seen[start] = True
-    reach = np.flatnonzero(seen)
-    return reach, paths[np.ix_(reach, reach)]
-
-
-def _perron_root(K: np.ndarray, paths: np.ndarray) -> float:
-    """Spectral radius of a nonnegative K: the largest Perron root of its classes.
-
-    A strongly connected class is a set of mutually reachable states (in the
-    path closure ``paths``) on a cycle. States on no cycle contribute 0, so a
-    nilpotent K gives exactly 0; on a class the Perron root is a simple
-    eigenvalue, found by eigvals.
-    """
-    rho = 0.0
-    for i in np.flatnonzero(np.diag(paths)):
-        cls = np.flatnonzero(paths[i] & paths[:, i])
-        if cls[0] == i:                    # each class once, at its first state
-            rho = max(rho, float(np.abs(np.linalg.eigvals(K[np.ix_(cls, cls)])).max()))
-    return rho
 
 
 # ---------------------------------------------------------------------------
@@ -342,58 +366,22 @@ def classify(triplet: LFTriplet) -> SpectralSummary:
 # resolvent and eigenpair
 # ---------------------------------------------------------------------------
 
-def k_resolvent_mass(triplet: LFTriplet, x, s: float) -> float:
-    """K^(s)(x, E) = sum_n s^n K^n(x, E); math.inf where the series diverges."""
-    return 1.0 + _resolvent_excess(triplet, x, s)
-
-
-def _resolvent_excess(triplet: LFTriplet, x, s: float) -> float:
-    """sum_{n>=1} s^n K^n(x, E), free of cancellation; math.inf where it diverges."""
-    if s < 0:
-        raise ValueError("s must be nonnegative")
-    x = triplet.validate_point(x)
-    if triplet.family == FAMILY_FINITE:
-        reach, paths = _reachable(triplet.K, np.array([x]))
-        sub = triplet.K[np.ix_(reach, reach)]
-        rho = _perron_root(sub, paths)
-        if rho > 0 and s >= 1.0 / rho:
-            return math.inf
-        w = np.linalg.solve(np.eye(len(reach)) - s * sub, s * sub.sum(axis=1))
-        return float(w[int(np.flatnonzero(reach == x)[0])])
-    lam = triplet.lam
-    total, term = 0.0, 1.0
-    for n in range(100000):
-        term *= s * lam / (lam + n) * math.exp(-x)
-        total += term
-        if term <= 1e-17 * total:
-            break
-    return total
-
-
 def gamma_resolvent(triplet: LFTriplet, s: float):
     """gamma K^(s) = sum_{r>=0} s^r integral K^r(y, .) gamma(dy), s below the radius.
 
-    Finite family: the vector gamma^T (I - sK)^{-1}, solved on the
-    gamma-reachable class (zero elsewhere) so that an unreachable block with
-    a larger Perron root cannot make the solve singular. Exponential family:
-    the mixture with weights s^r d_r on Exp(mu+r) + chain(lambda, r),
-    truncated at a certified tail below 1e-16.
+    Finite family: the vector gamma^T (I - sK)^{-1}, solved on gamma's reach
+    (zero elsewhere) so that an unreachable class with a larger Perron root
+    cannot make the solve singular. Exponential family: the mixture with
+    weights s^r d_r on Exp(mu+r) + chain(lambda, r), from the tilted
+    sequence, cut after the last weight above 1e-17 of the total.
     """
     if triplet.family == FAMILY_FINITE:
-        K, gam = triplet.K, triplet.gamma_vector
-        reach, _ = _reachable(K, np.flatnonzero(gam > 0))
-        sub = K[np.ix_(reach, reach)]
-        out = np.zeros(K.shape[0])
-        out[reach] = np.linalg.solve(np.eye(len(reach)) - s * sub.T, gam[reach])
+        law = LifeLengthLaw(triplet)
+        out = np.zeros(triplet.d)
+        out[law._live] = np.linalg.solve(np.eye(len(law._gam)) - s * law._K.T, law._gam)
         return VectorMeasure(out)
-    law = LifeLengthLaw(triplet)
-    n = 8
-    d = law.tails(n)
-    while d[-1] * s ** (len(d) - 1) > 1e-16 and n < 4096:
-        n *= 2
-        d = law.tails(n)
-    coef = d * np.power(s, np.arange(len(d)))
-    keep = int(np.max(np.flatnonzero(coef > 1e-17 * coef.sum()))) + 1
+    coef = _tilted_tails(triplet, s)
+    keep = int(np.flatnonzero(coef > 1e-17 * coef.sum())[-1]) + 1
     return MixtureMeasure(coef[:keep], [
         hypoexp.gamma_chain_law(triplet.lam, triplet.mu, r) for r in range(keep)])
 
@@ -403,60 +391,63 @@ def NuMeasure(triplet: LFTriplet, R: float):
     return (triplet.m / (1.0 + triplet.m)) * gamma_resolvent(triplet, R)
 
 
-@dataclass
 class Eigenpair:
-    """Right function u, left measure nu, and their inner product beta."""
+    """Right function u and left measure nu; nu and the finite u vector are
+    built on first use."""
 
-    triplet: LFTriplet
-    summary: SpectralSummary
-    nu: VectorMeasure | MixtureMeasure
-    u_vector: np.ndarray | None = None  # finite family
+    def __init__(self, triplet: LFTriplet, summary: SpectralSummary):
+        self.triplet = triplet
+        self.summary = summary
+
+    @cached_property
+    def nu(self) -> VectorMeasure | MixtureMeasure:
+        return NuMeasure(self.triplet, self.summary.R)
+
+    @cached_property
+    def u_vector(self) -> np.ndarray:
+        """u on the finite states: one solve on E_R = {x : R r(x) < 1}, inf elsewhere."""
+        t, R = self.triplet, self.summary.R
+        ok = R * _classes(t)[1] < 1.0
+        K = t.K[np.ix_(ok, ok)]
+        u = np.full(t.d, math.inf)
+        u[ok] = (1.0 + t.m) * np.linalg.solve(np.eye(len(K)) - R * K, R * K.sum(axis=1))
+        return u
 
     def u(self, x) -> float:
         """u(x) = (1+m) sum_{n>=1} R^n K^n(x, E); infinite outside E_R."""
-        return (1.0 + self.triplet.m) * _resolvent_excess(self.triplet, x, self.summary.R)
-
-    @property
-    def beta(self) -> float:
-        return self.summary.beta
+        t = self.triplet
+        x = t.validate_point(x)
+        if t.family == FAMILY_FINITE:
+            return float(self.u_vector[x])
+        tilt = _tilt(t.lam, self.summary.R)
+        return (1.0 + t.m) * _total(tilt[1:] * np.exp(-x * np.arange(1, len(tilt))))
 
     def u_gamma_integral(self) -> float:
         """gamma(u); identity value (1+m)/m."""
         t = self.triplet
-        if t.family == FAMILY_FINITE:
-            return float(t.gamma_vector @ self.u_vector)
+        if t.family == FAMILY_FINITE:    # gamma and nu vanish where u = inf
+            ok = np.isfinite(self.u_vector)
+            return float(t.gamma_vector[ok] @ self.u_vector[ok])
         return t.gamma.integrate(self.u)
 
     def u_nu_integral(self) -> float:
-        """nu(u); identity value beta. Exact double series in the exp family."""
+        """nu(u); identity value beta. Exp family: nu(e^{-jy}) per term of u."""
         t = self.triplet
         if t.family == FAMILY_FINITE:
-            return float(self.nu.vector @ self.u_vector)
-        R, lam, m = self.summary.R, t.lam, t.m
-        c = t.c_sequence(256)
-        acc = 0.0
-        for w, comp in zip(self.nu.weights, self.nu.components):
-            inner, term = 0.0, 1.0
-            for j in range(1, len(c)):
-                term = (R * lam / (lam + j - 1.0)) * term
-                inc = term * comp.mgf_neg(float(j))
-                inner += inc
-                if inc < 1e-17 * max(inner, 1e-300):
-                    break
-            acc += w * (1.0 + m) * inner
-        return float(acc)
+            ok = np.isfinite(self.u_vector)
+            return float(self.nu.vector[ok] @ self.u_vector[ok])
+        tilt = _tilt(t.lam, self.summary.R)
+        return (1.0 + t.m) * _total([tilt[j] * self.nu.integrate_exp_tilt(float(j))
+                                     for j in range(1, len(tilt))])
 
 
 def eigen_build(triplet: LFTriplet, summary: SpectralSummary | None = None) -> Eigenpair:
-    """Construct (u, nu, beta) for an R-positive triplet."""
+    """The eigenpair (u, nu, beta) of an R-positive triplet."""
     if summary is None:
         summary = classify(triplet)
     if summary.recurrence == R_TRANSIENT:
         raise ValueError("eigenpair requires an R-positive process")
-    pair = Eigenpair(triplet, summary, NuMeasure(triplet, summary.R))
-    if triplet.family == FAMILY_FINITE:
-        pair.u_vector = np.array([pair.u(x) for x in range(triplet.d)])
-    return pair
+    return Eigenpair(triplet, summary)
 
 
 def eigen_residuals(triplet: LFTriplet, pair: Eigenpair, grid=None) -> dict:
@@ -466,11 +457,9 @@ def eigen_residuals(triplet: LFTriplet, pair: Eigenpair, grid=None) -> dict:
     corresponding left residual against indicator probes (continuous) or the
     full vector (finite).
     """
-    rho = pair.summary.rho
-    t = triplet
+    rho, t = pair.summary.rho, triplet
     if t.family == FAMILY_FINITE:
-        M = t.M
-        u = pair.u_vector
+        M, u = t.M, pair.u_vector
         ok = np.isfinite(u)  # states outside E_R carry u = inf; skip them
         Mu = M[np.ix_(ok, ok)] @ u[ok]
         right = float(np.max(np.abs(Mu - rho * u[ok])) / np.max(np.abs(u[ok])))
@@ -511,26 +500,37 @@ class PFLimitRow:
     rel_err: float
 
 
+def _tilted_masses(t: LFTriplet, x, s: float, n: int):
+    """(s^j K^j(x, E), s^j d_j) for j = 0..n; the exp family pads its tilted
+    sequence with zeros."""
+    x = t.validate_point(x)
+    if t.family == FAMILY_FINITE:
+        v, k, d = np.ones(t.d), np.empty(n + 1), np.empty(n + 1)
+        for j in range(n + 1):
+            k[j], d[j] = v[x], t.gamma_vector @ v
+            v = s * (t.K @ v)
+        return k, d
+    j, head = np.arange(n + 1), _tilt(t.lam, s)[: n + 1]
+    tilt = np.concatenate((head, np.zeros(n + 1 - len(head))))
+    return tilt * np.exp(-j * x), tilt * (t.mu / (t.mu + j))
+
+
 def pf_limit_check(triplet: LFTriplet, x, n_max: int = 40) -> list[PFLimitRow]:
-    """Tabulate R^n M^n(x, E) against u(x) nu(E) / beta for n = 1..n_max."""
+    """Tabulate R^n M^n(x, E) against u(x) nu(E) / beta for n = 1..n_max.
+
+    One R-tilted renewal pass: with k_j = R^j K^j(x, E) and tilted tails
+    R^j d_j, R^n M^n(x, E) = k_n + m sum_{i=1..n} k_i g_{n-i}, where
+    g_j = R^j gamma M^j(E) solves g_j = R^j d_j + m sum_k R^k d_k g_{j-k}.
+    Its a sums to m f(R) = 1, so g stays O(1) however fast M^n grows.
+    """
     summary = classify(triplet)
     pair = eigen_build(triplet, summary)
-    R = summary.R
     limit = pair.u(x) * pair.nu.mass() / summary.beta
-    rows = []
-    if triplet.family == FAMILY_FINITE:
-        x = triplet.validate_point(x)
-        v = np.ones(triplet.d)
-        M = triplet.M
-        for n in range(1, n_max + 1):
-            v = R * (M @ v)
-            scaled = float(v[x])
-            rows.append(PFLimitRow(n, scaled, limit, abs(scaled - limit) / abs(limit)))
-    else:
-        for n in range(1, n_max + 1):
-            scaled = R ** n * evolve(triplet, n).mn_mass(x)
-            rows.append(PFLimitRow(n, scaled, limit, abs(scaled - limit) / abs(limit)))
-    return rows
+    k, d = _tilted_masses(triplet, x, summary.R, n_max)
+    g = renewal(triplet.m * d[1:], d, n_max)[0]      # bounded, so never rescaled
+    scaled = k[1:] + triplet.m * np.convolve(k[1:], g)[:n_max]
+    return [PFLimitRow(n, float(v), limit, abs(v - limit) / abs(limit))
+            for n, v in enumerate(scaled, 1)]
 
 
 def hypergeom_phi(lam: float, mu: float, s: float) -> float:

@@ -379,6 +379,10 @@ class _Verifier:
                               f"verifier needs {regime}")
         self.t, self.x, self.s, self.tol = triplet, x, summary, tol
         self.ux = eigen_build(triplet, summary).u(x)
+        if not math.isfinite(self.ux):
+            raise ValueError(f"--x {x}: u(x) is infinite, since x reaches a class "
+                             "whose Perron root is at least rho; the limit "
+                             "theorems do not scale there")
         if n_grid is None:
             n_grid = ((25, 50, 100, 200, 400, 800) if regime == CRITICAL
                       else (10, 20, 30, 40, 50, 60))

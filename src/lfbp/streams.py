@@ -26,11 +26,6 @@ def stream(seed: int, *path: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))
 
 
-def replicate_streams(seed: int, n_reps: int) -> list[np.random.Generator]:
-    """Streams for replicates ``0..n_reps-1`` of a run seeded with ``seed``."""
-    return [stream(seed, i) for i in range(n_reps)]
-
-
 def geometric(rng: np.random.Generator, m: float, size: int | None = None):
     """Geometric litter sizes with mean ``m``: P(j) = m^j / (1+m)^(j+1), j >= 0.
 

@@ -25,15 +25,12 @@ import math
 import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Union
 
 import numpy as np
 
 from . import hypoexp
 from .errors import TripletFormatError
 from .measures import MixtureMeasure, VectorMeasure
-
-TypePoint = Union[int, float]
 
 FAMILY_FINITE = "finite"
 FAMILY_EXP = "exp"
@@ -142,13 +139,6 @@ class FiniteTriplet(LFTriplet):
             v = v @ self.K
             out[j] = v.sum()
         return out
-
-    def kn_mass(self, x: TypePoint, n: int) -> float:
-        """K^n(x, E) by vector iteration."""
-        v = np.ones(self.d)
-        for _ in range(n):
-            v = self.K @ v
-        return float(v[self.validate_point(x)])
 
     def sample_gamma(self, rng, size: int) -> np.ndarray:
         """``size`` i.i.d. gamma types by inverse cdf."""

@@ -339,3 +339,12 @@ def test_version_flag(capsys):
         main(["--version"])
     assert exc.value.code == 0
     assert __version__ in capsys.readouterr().out
+
+
+def test_limits_on_an_exp_triplet_with_tiny_m(capsys):
+    # R is near 50 here; building gamma K^(R) once raised OverflowError
+    rep = run_json(capsys, ["limits", "--triplet", '{"family": "exp", "lambda": 1.0, '
+                            '"mu": 1.0, "m": 1e-20}', "--grid", "10,20"])
+    assert rep["regime"] == "subcritical"
+    text = json.dumps(rep)
+    assert "NaN" not in text and "Infinity" not in text

@@ -118,3 +118,55 @@ def test_quadrature_failure_exits_4_naming_estimate_and_tol(monkeypatch, capsys)
     err = capsys.readouterr().err
     assert "estimate 3.500e-09 > tol 1.000e-13" in err
     assert "Traceback" not in err and err.count("\n") == 1
+
+
+# each command takes --tol and --workers only when it reads them, and --format
+# only with the formats it writes
+@pytest.mark.parametrize("argv,flag", [
+    (["classify", "--triplet", SCALAR_CRIT], ["--tol", "1e-3"]),
+    (["classify", "--triplet", SCALAR_CRIT], ["--workers", "2"]),
+    (["classify", "--triplet", SCALAR_CRIT], ["--format", "csv"]),
+    (["phase-grid", "--m", "2", "--lambda-range", "1:2", "--mu-range", "1:2",
+      "--grid", "2"], ["--tol", "1e-3"]),
+    (["phase-grid", "--m", "2", "--lambda-range", "1:2", "--mu-range", "1:2",
+      "--grid", "2"], ["--workers", "2"]),
+    (["phase-grid", "--m", "2", "--lambda-range", "1:2", "--mu-range", "1:2",
+      "--grid", "2"], ["--format", "json"]),
+    (["survive", "--triplet", SCALAR_CRIT, "--n", "3"], ["--tol", "1e-3"]),
+    (["survive", "--triplet", SCALAR_CRIT, "--n", "3"], ["--workers", "2"]),
+    (["survive", "--triplet", SCALAR_CRIT, "--n", "3"], ["--format", "csv"]),
+    (["distribution", "--triplet", SCALAR_CRIT, "--n", "3"], ["--tol", "1e-3"]),
+    (["distribution", "--triplet", SCALAR_CRIT, "--n", "3"], ["--workers", "2"]),
+    (["distribution", "--triplet", SCALAR_CRIT, "--n", "3"], ["--format", "csv"]),
+    (["simulate", "--triplet", SCALAR_CRIT, "--n", "3", "--reps", "5",
+      "--seed", "1"], ["--tol", "1e-3"]),
+    (["simulate", "--triplet", SCALAR_CRIT, "--n", "3", "--reps", "5",
+      "--seed", "1"], ["--format", "json"]),
+    (["crosscheck", "--triplet", SCALAR_CRIT, "--n", "3", "--reps", "100",
+      "--seed", "1"], ["--tol", "1e-3"]),
+    (["limits", "--triplet", SCALAR_CRIT, "--grid", "10,20"], ["--format", "csv"]),
+    (["yaglom", "--triplet", SCALAR_CRIT, "--n", "5", "--reps", "20",
+      "--seed", "1"], ["--tol", "1e-9"]),
+    (["yaglom", "--triplet", SCALAR_CRIT, "--n", "5", "--reps", "20",
+      "--seed", "1"], ["--format", "csv"]),
+    (["renewal", "--a", "0.5,0.5", "--b", "1", "--n", "10"], ["--workers", "2"]),
+])
+def test_flags_a_command_ignores_exit_2(argv, flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv + flag)
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert flag[0] in err and out == ""
+
+
+def test_limits_at_an_ancestor_outside_E_R_exits_2_naming_x(capsys):
+    # state 0 reaches only its own class, Perron root 0.9 > rho = 1/R = 0.6,
+    # so u(0) is infinite; state 1 is the one gamma sees
+    doc = json.dumps({"family": "finite", "K": [[0.9, 0.0], [0.0, 0.3]],
+                      "gamma": [0.0, 1.0], "m": 1.0})
+    assert main(["limits", "--triplet", doc, "--x", "0"]) == 2
+    out, err = capsys.readouterr()
+    assert "--x 0: u(x) is infinite" in err and out == ""
+    assert "Traceback" not in err
+    assert main(["limits", "--triplet", doc, "--x", "1"]) == 0
+    assert "Infinity" not in capsys.readouterr().out

@@ -2,13 +2,15 @@
 `classify` command lines never crash.
 
 Every run ends in a documented exit code with no traceback, and a report
-that exits 0 states no NaN or infinity (bar an exp triplet's R_star).
+that exits 0 states no NaN or infinity (bar the R_star of an exp triplet or
+of a nilpotent finite block).
 """
 
 import contextlib
 import io
 import json
 
+import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -87,6 +89,36 @@ def classify_argv(draw):
     return ["classify", "--triplet", json.dumps(doc)]
 
 
+@st.composite
+def exp_limits_argv(draw):
+    # m down to 1e-300 puts R in the hundreds
+    lam, mu = (10.0 ** draw(st.floats(-1.0, 1.0)) for _ in range(2))
+    doc = {"family": "exp", "lambda": lam, "mu": mu,
+           "m": 10.0 ** draw(st.floats(-300.0, 0.0))}
+    return ["limits", "--triplet", json.dumps(doc), "--grid",
+            draw(number_list(st.integers(1, 30), min_size=1))]
+
+
+@st.composite
+def finite_argv(draw):
+    # full, reducible (upper triangular) or nilpotent (strictly upper) K with
+    # d <= 8, and gamma on a subset of the states that includes state 0
+    d = draw(st.integers(2, 8))
+    K = np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=d * d,
+                               max_size=d * d))).reshape(d, d)
+    K = (K, np.triu(K), np.triu(K, 1))[draw(st.integers(0, 2))]
+    K[0, 1] += 0.1                               # gamma sees a live state
+    rows = np.array(draw(st.lists(st.floats(0.05, 0.95), min_size=d, max_size=d)))
+    K *= rows[:, None] / np.maximum(K.sum(axis=1, keepdims=True), 1e-300)
+    gam = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=d, max_size=d)))
+    gam *= np.array([True] + draw(st.lists(st.booleans(), min_size=d - 1,
+                                           max_size=d - 1)))
+    doc = {"family": "finite", "K": K.tolist(), "gamma": (gam / gam.sum()).tolist(),
+           "m": 10.0 ** draw(st.floats(-3.0, 3.0))}
+    cmd = draw(st.sampled_from([["classify"], ["limits", "--grid", "5,10"]]))
+    return [cmd[0], "--triplet", json.dumps(doc), *cmd[1:]]
+
+
 def run_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -98,7 +130,7 @@ def run_cleanly(argv):
     assert "Traceback" not in err.getvalue()
     if rc == 0:
         text = out.getvalue()
-        if argv[0] == "classify":     # R_* is infinite in the exp family
+        if argv[0] == "classify":     # R_* is infinite without a cycle
             text = text.replace('"R_star": Infinity', "")
         assert "NaN" not in text and "Infinity" not in text, (argv, text)
 
@@ -107,10 +139,19 @@ def run_cleanly(argv):
 @given(st.one_of(limits_argv(), yaglom_argv(), renewal_argv(), exact_argv()),
        tols)
 def test_cli_exits_cleanly(argv, tol):
-    run_cleanly(argv if tol is None else argv + ["--tol", tol])
+    # only limits and renewal take --tol
+    if tol is not None and argv[0] in ("limits", "renewal"):
+        argv = argv + ["--tol", tol]
+    run_cleanly(argv)
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(classify_argv())
 def test_classify_exits_cleanly(argv):
+    run_cleanly(argv)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(st.one_of(exp_limits_argv(), finite_argv()))
+def test_generated_documents_exit_cleanly(argv):
     run_cleanly(argv)

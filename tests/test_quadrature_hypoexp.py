@@ -167,7 +167,7 @@ def test_stream_reproducible_and_distinct():
     c = streams.stream(42, 4).random(8)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
-    reps = streams.replicate_streams(42, 5)
+    reps = [streams.stream(42, i) for i in range(5)]
     assert np.array_equal(reps[3].random(8), a)
 
 

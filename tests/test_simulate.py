@@ -7,8 +7,8 @@ import pytest
 
 from lfbp import evolution, simulate, streams
 from lfbp.errors import PopulationCapError, WalkCapError
-from lfbp.simulate import (SIMULATORS, replicate_zn, sample_life_length,
-                           simulate_bgw, simulate_cmj, simulate_contour,
+from lfbp.simulate import (SIMULATORS, replicate_zn, simulate_bgw,
+                           simulate_cmj, simulate_contour,
                            simulate_typed_lineage)
 from lfbp.spectral import LifeLengthLaw
 from lfbp.typespace import make_exp_triplet, make_finite_triplet
@@ -101,7 +101,7 @@ def test_cmj_counts_against_mean_growth(scalar_sub):
 def test_sample_life_length_capped_law(scalar_sub):
     law = LifeLengthLaw(scalar_sub)
     rng = streams.stream(56, 0)
-    x = sample_life_length(law, rng, size=50_000, cap=3)
+    x = law.sample_capped(rng, 3, size=50_000)
     d = law.tails(3)
     # P(min(L, 4) > n) = d_n for n <= 3
     for n in range(1, 4):

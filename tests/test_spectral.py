@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lfbp import spectral, streams
+from lfbp.evolution import evolve
 from lfbp.spectral import (LifeLengthLaw, NuMeasure, classify, eigen_build,
                            eigen_residuals, hypergeom_phi, pf_limit_check,
                            power_iteration, solve_R)
@@ -323,4 +324,93 @@ def test_nilpotent_three_type_chain():
     assert s.R_star == math.inf and s.recurrence == "R-positive"
     assert abs(s.R - R) < 1e-12
     assert abs(s.beta - 0.5 * R * (0.5 + 0.7 * R)) < 1e-9
-    assert abs(spectral.k_resolvent_mass(t, 0, 10.0) - (1.0 + 5.0 + 0.35 * 100.0)) < 1e-12
+    # gamma = delta_0, so gamma K^(s)(E) is the resolvent mass K^(s)(0, E)
+    assert abs(spectral.gamma_resolvent(t, 10.0).mass() - (1.0 + 5.0 + 0.35 * 100.0)) < 1e-12
+
+
+# -- one resolvent per family ---------------------------------------------------------
+
+
+def _u_oracle(t, R, x):
+    """u(x) = (1+m) sum_{n>=1} R^n K^n(x, E) on the block of what x reaches."""
+    reach = {x}
+    while True:
+        more = {int(j) for i in reach for j in np.flatnonzero(t.K[i] > 0)} - reach
+        if not more:
+            break
+        reach |= more
+    idx = sorted(reach)
+    B = t.K[np.ix_(idx, idx)]
+    if R * np.abs(np.linalg.eigvals(B)).max() >= 1.0:
+        return math.inf
+    w = np.linalg.solve(np.eye(len(idx)) - R * B, R * B.sum(axis=1))
+    return (1.0 + t.m) * w[idx.index(x)]
+
+
+def test_u_vector_matches_a_per_state_solve():
+    rng = streams.stream(412, 0)
+    for i in range(60):
+        d = int(rng.integers(2, 63)) if i % 2 else int(rng.integers(2, 8))
+        K = rng.random((d, d)) * (rng.random((d, d)) < rng.uniform(0.1, 1.0))
+        K = (K, np.triu(K), np.triu(K, 1))[i % 3]   # full, reducible, nilpotent
+        K[0, 1] += 0.1
+        K *= rng.uniform(0.05, 0.95, (d, 1)) / np.maximum(K.sum(axis=1, keepdims=True), 1e-300)
+        gam = rng.random(d) * (rng.random(d) < 0.5)
+        gam[0] += 0.1
+        m = 10.0 ** rng.uniform(-2.0, 2.0)
+        R = classify(make_finite_triplet(K, gam / gam.sum(), m)).R
+        # two states gamma never reaches, each on its own loop and leading
+        # into state 0: one just below 1/R, one above it when 1/R < 1
+        K2 = np.zeros((d + 2, d + 2))
+        K2[:d, :d] = K
+        K2[d, d], K2[d, 0] = 0.999 * min(1.0 / R, 0.95), 0.001
+        K2[d + 1, d + 1] = min(1.001 / R, 0.95)
+        K2[d + 1, 0] = 0.01
+        t = make_finite_triplet(K2, np.append(gam / gam.sum(), [0.0, 0.0]), m)
+        s = classify(t)
+        assert s.R == R
+        pair = eigen_build(t, s)
+        u = pair.u_vector
+        want = np.array([_u_oracle(t, R, x) for x in range(d + 2)])
+        assert np.array_equal(np.isinf(u), np.isinf(want)), i
+        ok = np.isfinite(want)
+        np.testing.assert_allclose(u[ok], want[ok], rtol=1e-12, atol=0.0)
+        # gamma and nu vanish on the states where u is infinite
+        assert abs(pair.u_gamma_integral() - (1.0 + m) / m) < 1e-9 * (1.0 + m) / m
+        assert abs(pair.u_nu_integral() - s.beta) < 1e-8 * max(1.0, s.beta)
+
+
+@pytest.mark.parametrize("lam,mu,m", [
+    (1.0, 1.0, 2.0), (1.3, 0.7, 0.5), (0.2, 5.0, 1e-3), (7.0, 0.3, 1e-20),
+    (0.5, 2.0, 1e-100), (1.7, 0.6, 1e-300), (0.1, 0.1, 1e-300),
+])
+def test_exp_f_and_u_match_a_40_digit_series(lam, mu, m):
+    t = make_exp_triplet(lam, mu, m)
+    R = classify(t).R
+    law, pair = LifeLengthLaw(t), eigen_build(t)
+    xs = (0.5, 1.0, 2.0)
+    with mp.workdps(40):
+        r, f, df, u = mp.mpf(R), mp.mpf(0), mp.mpf(0), [mp.mpf(0)] * 3
+        c, n = mp.mpf(1), 0
+        while True:               # c = R^n c_n
+            c *= r * lam / (lam + n)
+            n += 1
+            d = c * mu / (mu + n)
+            f, df = f + d, df + n * d / r
+            u = [ui + c * mp.exp(-n * x) for ui, x in zip(u, xs)]
+            if n > r * lam and c < mp.mpf(10) ** -45 * f:
+                break
+        want = [f, df] + [(1 + m) * ui for ui in u]
+    got = [law.f_eval(R), law.f_derivative(R)] + [pair.u(x) for x in xs]
+    for g, w in zip(got, want):
+        assert abs(g - float(w)) <= 1e-13 * float(w)
+
+
+@pytest.mark.parametrize("lam,mu,m", [(1.0, 1.0, 2.0), (1.3, 0.7, 0.5),
+                                      (1.2, 0.7, 1.6595995495146982)])
+def test_exp_pf_limit_rows_match_the_exact_generation_mass(lam, mu, m):
+    t = make_exp_triplet(lam, mu, m)
+    R = classify(t).R
+    for r in pf_limit_check(t, 1.5, n_max=40):
+        want = R ** r.n * evolve(t, r.n).mn_mass(1.5)
+        assert abs(r.scaled_mass - want) <= 1e-12 * want

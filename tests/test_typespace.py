@@ -80,7 +80,9 @@ def test_finite_kernel_power_mass():
     t = random_triplet(rng, 4)
     M3 = np.linalg.matrix_power(t.K, 3)
     for x in range(4):
-        assert abs(t.kn_mass(x, 3) - M3[x].sum()) < 1e-14
+        # gamma = delta_x makes d_3 the mass K^3(x, E)
+        at_x = make_finite_triplet(t.K, np.eye(4)[x], t.m)
+        assert abs(at_x.d_sequence(3)[3] - M3[x].sum()) < 1e-14
 
 
 def test_json_round_trip():
