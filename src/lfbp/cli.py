@@ -2,8 +2,8 @@
 
 Every report embeds the resolved configuration and the library version so a
 result file is self-describing. Stochastic commands require --seed and
-derive replicate i's generator from the stream key (seed, i); the merge
-step is deterministic, so output bytes do not depend on --workers.
+key streams by bgw block b or cmj/contour replicate i as (seed, b or i);
+the merge is deterministic, so output bytes do not depend on --workers.
 
 CSV output uses '.' decimals, '\n' line endings, and a header row; a
 leading '#' comment line carries the configuration. JSON reports carry a
@@ -89,8 +89,8 @@ def _config(args, triplet=None, **extra) -> dict:
     """Resolved configuration echoed into every report.
 
     Deliberately excludes the worker count: it never influences results
-    (replicate i always uses stream (seed, i)), so identical configurations
-    must give byte-identical reports at any parallelism.
+    (streams are keyed by block or replicate, never by worker), so identical
+    configurations must give byte-identical reports at any parallelism.
     """
     cfg = {"command": args.command, "version": __version__}
     for key in ("seed", "reps", "n", "tol", "format", "x",
@@ -199,7 +199,8 @@ def cmd_simulate(args) -> int:
     zs = simulate.replicate_zn(t, args.n, args.reps, args.seed,
                                simulator=args.simulator, start=start,
                                workers=args.workers)
-    cfg = _config(args, t, discarded=zs.discarded)
+    block = {"block": simulate.BLOCK} if args.simulator == "bgw" else {}
+    cfg = _config(args, t, **block, discarded=zs.discarded)
     rows = []
     for i, z in enumerate(zs.raw):
         if z < 0:
@@ -318,7 +319,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="inline JSON or path to a JSON file")
         if seed:
             p.add_argument("--seed", type=int, required=True,
-                           help="base seed; replicate i uses stream (seed, i)")
+                           help="base seed of the replicate streams")
         if reps:
             p.add_argument("--reps", type=_count(1), required=True)
         if n:

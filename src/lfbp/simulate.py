@@ -1,7 +1,7 @@
 """Three independent simulators of the same branching process.
 
 * simulate_bgw: direct generation-by-generation branching, one vectorized
-  step for both families; ``bgw_generation`` keeps generation n only.
+  step for both families; ``bgw_block`` steps a block of replicates at once.
 * simulate_cmj: the embedded population whose individuals are maximal marked
   lineages; an individual born at b lives through [b, b+L-1] and drops a
   geometric(mean m) litter of new individuals at each age 1..L-1. The count
@@ -16,8 +16,8 @@
   kept.
 
 All three agree in law with the exact engine; cross-validation is their
-purpose. ``replicate_map`` runs every replicate loop: replicate i draws from
-stream (seed, i), so results do not depend on worker count or scheduling.
+purpose. ``replicate_map`` runs every replicate loop on streams keyed by
+block or replicate index, so results do not depend on worker count.
 """
 
 from __future__ import annotations
@@ -28,44 +28,62 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import PopulationCapError, WalkCapError
+from .measures import probe
 from .spectral import LifeLengthLaw
 from .streams import geometric, stream
 from .typespace import GenerationSnapshot, LFTriplet
 
 DEFAULT_CAP = 10_000_000
 _WALK_CAP = 100_000_000
+BLOCK = 1024          # replicates that step together on one stream in bgw
+_LIVE = 1 << 16       # points a block holds before its replicates finish alone
 
 
 # ---------------------------------------------------------------------------
 # direct branching
 # ---------------------------------------------------------------------------
 
-def _start_points(triplet: LFTriplet, start, rng: np.random.Generator):
+def _start_points(triplet: LFTriplet, start, rng, size: int = 1):
     if isinstance(start, str):
         if start != "gamma":
             raise ValueError("start must be a type point or 'gamma'")
-        pt = triplet.gamma.sample(rng)
-    else:
-        pt = triplet.validate_point(start)
-    return np.array([pt], dtype=triplet.point_dtype)
+        return triplet.gamma.sample(rng, size)
+    return np.full(size, triplet.validate_point(start), dtype=triplet.point_dtype)
 
 
-def _bgw_step(t: LFTriplet, cur: np.ndarray, rng, cap: int,
-              gen: int) -> np.ndarray:
-    """One generation: survival coins, marked children, litters, gamma extras."""
+def _bgw_step(t: LFTriplet, cur: np.ndarray, ids, rng, cap: int, gen: int,
+              dropped=None):
+    """One generation: survival coins, marked children, litters, gamma extras.
+
+    Returns the new points and ``ids``, the replicate of each point (None for
+    one replicate). A replicate whose generation would exceed ``cap`` is set
+    in ``dropped`` and loses its points before its extras are drawn; with no
+    ``dropped`` it raises PopulationCapError.
+    """
     alive = rng.random(len(cur)) < t.kernel.mass(cur)
     parents = cur[alive]
+    ids = ids if ids is None else ids[alive]
     if len(parents) == 0:
-        return parents
+        return parents, ids
     marked = t.kernel.sample_marked(parents, rng)
     extras = geometric(rng, t.m, size=len(parents))
+    sizes = (np.array([len(parents) + extras.sum()]) if ids is None
+             else np.bincount(ids, weights=extras + 1.0))
+    over = sizes > cap
+    if over.any():
+        if dropped is None:
+            raise PopulationCapError(gen, int(sizes[over][0]), cap)
+        dropped[:len(over)] |= over
+        if ids is None:
+            return parents[:0], None
+        keep = ~over[ids]
+        marked, extras, ids = marked[keep], extras[keep], ids[keep]
     total_extra = int(extras.sum())
-    size = len(parents) + total_extra
-    if size > cap:
-        raise PopulationCapError(gen, size, cap)
     if total_extra:
-        return np.concatenate([marked, t.sample_gamma(rng, total_extra)])
-    return marked
+        marked = np.concatenate([marked, t.sample_gamma(rng, total_extra)])
+        if ids is not None:
+            ids = np.concatenate([ids, np.repeat(ids, extras)])
+    return marked, ids
 
 
 def simulate_bgw(triplet: LFTriplet, start, n: int, rng: np.random.Generator,
@@ -81,22 +99,49 @@ def simulate_bgw(triplet: LFTriplet, start, n: int, rng: np.random.Generator,
     cur = _start_points(triplet, start, rng)
     snaps = [GenerationSnapshot(0, cur)]
     for gen in range(1, n + 1):
-        cur = _bgw_step(triplet, cur, rng, cap, gen) if len(cur) else cur
+        if len(cur):
+            cur, _ = _bgw_step(triplet, cur, None, rng, cap, gen)
         snaps.append(GenerationSnapshot(gen, cur))
     return snaps
 
 
-def bgw_generation(triplet: LFTriplet, start, n: int, rng: np.random.Generator,
-                   cap: int = DEFAULT_CAP) -> np.ndarray:
-    """Generation-n points of ``simulate_bgw`` on the same stream, no snapshots."""
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    cur = _start_points(triplet, start, rng)
+def bgw_block(triplet: LFTriplet, start, n: int, cap: int, w: str,
+              discard: bool, key: tuple, size: int) -> np.ndarray:
+    """(Z_n, sum of probe ``w`` over generation n) of a block's ``size``
+    replicates, stepped together on ``stream(*key)``; shape (size, 2).
+
+    Past _LIVE points the block finishes its replicates one at a time,
+    replicate j on ``stream(*key, j)``. A replicate whose generation would
+    exceed ``cap`` gets Z_n = -1 if ``discard``, else raises
+    PopulationCapError. A scalar probe value counts at every point.
+    """
+    w, rng = probe(w), stream(*key)
+    dropped = np.zeros(size, dtype=bool) if discard else None
+    cur = _start_points(triplet, start, rng, size)
+    ids = np.arange(size) if size > 1 else None
+    out = np.zeros((size, 2))
     for gen in range(1, n + 1):
-        if len(cur) == 0:
+        if ids is not None and len(cur) > _LIVE:
+            order = np.argsort(ids, kind="stable")
+            live, first = np.unique(ids[order], return_index=True)
+            for j, pts in zip(live, np.split(cur[order], first[1:])):
+                sub = stream(*key, j)
+                one = None if dropped is None else dropped[j:j + 1]
+                for g in range(gen, n + 1):
+                    if len(pts):
+                        pts, _ = _bgw_step(triplet, pts, None, sub, cap, g, one)
+                out[j] = len(pts), np.broadcast_to(w(pts), pts.shape).sum()
             break
-        cur = _bgw_step(triplet, cur, rng, cap, gen)
-    return cur
+        if len(cur):
+            cur, ids = _bgw_step(triplet, cur, ids, rng, cap, gen, dropped)
+    else:
+        ids = np.zeros(len(cur), dtype=np.int64) if ids is None else ids
+        out[:, 0] = np.bincount(ids, minlength=size)
+        out[:, 1] = np.bincount(ids, weights=np.broadcast_to(w(cur), cur.shape),
+                                minlength=size)
+    if discard:
+        out[dropped] = -1.0, 0.0
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -238,36 +283,52 @@ class ZnSample:
         return self.values[self.values > 0]
 
 
-def replicate_map(make, args: tuple, reps: int, seed: int,
-                  workers: int = 1) -> np.ndarray:
-    """Values of replicates 0..reps-1 in order; replicate i uses stream (seed, i).
+def replicate_map(make, args: tuple, reps: int, seed: int, workers: int = 1,
+                  block: int | None = None) -> np.ndarray:
+    """Values of replicates 0..reps-1 in order.
 
-    ``make(*args)`` builds the per-replicate function ``rng -> value`` once
-    per chunk. Chunks run in a process pool when there are at least four
-    replicates per worker; ``make`` and ``args`` must then pickle.
+    Without ``block``, replicate i uses stream (seed, i) and ``make(*args)``
+    builds ``rng -> value`` once per chunk. With ``block`` = B, block b holds
+    replicates [bB, min(reps, (b+1)B)) valued ``make(*args, (seed, b), size)``.
+    A process pool runs chunks of whole units when there are at least four
+    per worker; ``make`` and ``args`` must then pickle.
     """
-    if workers <= 1 or reps < 4 * workers:
-        return _map_chunk(make, args, seed, 0, reps)
-    bounds = np.linspace(0, reps, workers + 1, dtype=int)
+    units = reps if block is None else -(-reps // block)
+    if workers <= 1 or units < 4 * workers:
+        return _map_chunk(make, args, seed, reps, block, 0, units)
+    bounds = np.linspace(0, units, workers + 1, dtype=int)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(_map_chunk, make, args, seed, int(lo), int(hi))
+        futs = [pool.submit(_map_chunk, make, args, seed, reps, block,
+                            int(lo), int(hi))
                 for lo, hi in zip(bounds[:-1], bounds[1:])]
         return np.concatenate([f.result() for f in futs])
 
 
-def _map_chunk(make, args, seed, lo, hi):
-    draw = make(*args)
-    return np.array([draw(stream(seed, i)) for i in range(lo, hi)])
+def _map_chunk(make, args, seed, reps, block, lo, hi):
+    if block is None:
+        draw = make(*args)
+        return np.array([draw(stream(seed, i)) for i in range(lo, hi)])
+    return np.concatenate([make(*args, (seed, b), min(block, reps - b * block))
+                           for b in range(lo, hi)] or [np.zeros((0, 2))])
 
 
-def _zn_draw(triplet, simulator, start, n, cap):
-    """Per-replicate Z_n function; a capped run gives -1 (discarded)."""
-    law = LifeLengthLaw(triplet) if simulator != "bgw" else None
+def bgw_sample(triplet: LFTriplet, n: int, reps: int, seed: int, start="gamma",
+               w: str = "const", workers: int = 1, cap: int = DEFAULT_CAP,
+               discard: bool = False) -> np.ndarray:
+    """``bgw_block`` values of ``reps`` replicates in blocks of BLOCK, block b
+    on stream (seed, b); shape (reps, 2)."""
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    return replicate_map(bgw_block, (triplet, start, n, cap, w, discard), reps,
+                         seed, workers, BLOCK)
+
+
+def _zn_draw(triplet, simulator, n, cap):
+    """Per-replicate Z_n function of cmj or contour; a capped run gives -1."""
+    law = LifeLengthLaw(triplet)
 
     def draw(rng):
         try:
-            if simulator == "bgw":
-                return len(bgw_generation(triplet, start, n, rng, cap))
             if simulator == "cmj":
                 return int(simulate_cmj(triplet, n, rng, cap=cap, law=law)[n])
             return simulate_contour(triplet, n, rng, law=law)
@@ -279,14 +340,20 @@ def _zn_draw(triplet, simulator, start, n, cap):
 def replicate_zn(triplet: LFTriplet, n: int, reps: int, seed: int,
                  simulator: str = "bgw", start="gamma", workers: int = 1,
                  cap: int = DEFAULT_CAP) -> ZnSample:
-    """Draw Z_n ``reps`` times; replicate i uses stream (seed, i).
+    """Draw Z_n ``reps`` times: bgw block b on stream (seed, b), cmj and
+    contour replicate i on stream (seed, i).
 
-    The stream layout makes results identical for any worker count; capped
-    runs are discarded and counted, never silently truncated.
+    Either layout makes results identical for any worker count; capped runs
+    are discarded and counted, never silently truncated.
     """
     if simulator not in SIMULATORS:
         raise ValueError(f"unknown simulator {simulator!r}; pick from {SIMULATORS}")
-    raw = replicate_map(_zn_draw, (triplet, simulator, start, n, cap), reps,
-                        seed, workers).astype(np.int64)
+    if simulator == "bgw":
+        raw = bgw_sample(triplet, n, reps, seed, start, workers=workers,
+                         cap=cap, discard=True)[:, 0]
+    else:
+        raw = replicate_map(_zn_draw, (triplet, simulator, n, cap), reps, seed,
+                            workers)
+    raw = raw.astype(np.int64)
     keep = raw[raw >= 0]
     return ZnSample(keep, int((raw < 0).sum()), simulator, n, seed, raw)

@@ -37,7 +37,7 @@ from .errors import RegimeError
 from .evolution import evolve, survival_prob
 from .measures import probe
 from .recursions import renewal
-from .simulate import DEFAULT_CAP, bgw_generation, replicate_map
+from .simulate import DEFAULT_CAP, bgw_sample
 from .spectral import (CRITICAL, SUBCRITICAL, SUPERCRITICAL, NuMeasure,
                        classify, eigen_build, gamma_resolvent)
 from .typespace import LFTriplet
@@ -288,24 +288,6 @@ def _ks_row(name: str, sample, cdf) -> CheckRow:
 # regime verifiers
 # ---------------------------------------------------------------------------
 
-def _generation_sum(triplet, n, w_spec, cap):
-    """Per-replicate (Z_n, sum of w over the generation-n types)."""
-    p = probe(w_spec)
-
-    def draw(rng):
-        pts = bgw_generation(triplet, "gamma", n, rng, cap)
-        if p.const is not None:
-            return len(pts), len(pts) * p.const
-        return len(pts), float(np.sum(p.fn(pts))) if len(pts) else 0.0
-    return draw
-
-
-def _yaglom_draws(triplet, n, reps, seed, p, workers, cap=DEFAULT_CAP):
-    """(reps, 2) array of (Z_n, sum of w) per replicate, on streams (seed, i)."""
-    return replicate_map(_generation_sum, (triplet, n, p.spec, cap), reps,
-                         seed, workers).reshape(-1, 2)
-
-
 def yaglom_sample(triplet: LFTriplet, n: int, reps: int, seed: int,
                   w: str = "const", workers: int = 1,
                   cap: int = DEFAULT_CAP) -> np.ndarray:
@@ -313,11 +295,11 @@ def yaglom_sample(triplet: LFTriplet, n: int, reps: int, seed: int,
 
     Each replicate runs BGW to generation n, stopping at extinction; a
     constant probe scales the count Z_n, a typed one sums w over the points.
-    Replicate i uses stream (seed, i), so the result is worker-count
-    invariant. A replicate that exceeds ``cap`` raises PopulationCapError.
+    Block b of BLOCK replicates uses stream (seed, b), so the result does
+    not depend on workers; a replicate past ``cap`` raises PopulationCapError.
     """
-    p = probe(w) if isinstance(w, str) else w
-    return _yaglom_draws(triplet, n, reps, seed, p, workers, cap)[:, 1]
+    return bgw_sample(triplet, n, reps, seed, w=getattr(w, "spec", w),
+                      workers=workers, cap=cap)[:, 1]
 
 
 def conditioned_scaled_sample(triplet: LFTriplet, R: float, n: int,
@@ -335,7 +317,7 @@ def conditioned_scaled_sample(triplet: LFTriplet, R: float, n: int,
     nu_w = p.apply(NuMeasure(triplet, R))
     if not nu_w > 0.0:
         raise ValueError(f"--w {p.spec}: nu(w) = {nu_w!r} must be positive")
-    zw = _yaglom_draws(triplet, n, reps, seed, p, workers)
+    zw = bgw_sample(triplet, n, reps, seed, w=p.spec, workers=workers)
     return zw[zw[:, 0] > 0, 1] / (scale * nu_w)
 
 

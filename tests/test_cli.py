@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lfbp import __version__
+from lfbp import __version__, simulate
 from lfbp.cli import main
 from lfbp.stats import conditioned_scaled_sample
 from lfbp.typespace import triplet_from_dict
@@ -106,6 +106,16 @@ def test_simulate_csv_worker_byte_identity(tmp_path, capsys):
     assert cfg["seed"] == 7
     first = lines[2].split(",")
     assert first[0] == "0" and first[1] == "4"
+
+
+@pytest.mark.parametrize("sim", ["bgw", "cmj", "contour"])
+def test_simulate_config_echoes_the_bgw_block(sim, capsys):
+    # bgw block b draws from stream (seed, b); cmj and contour replicate i
+    # from stream (seed, i), so only bgw states a block size
+    assert main(["simulate", "--triplet", SCALAR_CRIT, "--n", "2", "--reps",
+                 "3", "--seed", "7", "--simulator", sim]) == 0
+    cfg = json.loads(capsys.readouterr().out.splitlines()[0][len("# config "):])
+    assert cfg.get("block") == (simulate.BLOCK if sim == "bgw" else None)
 
 
 def test_crosscheck_diagonal_and_agreement(capsys):

@@ -1,5 +1,5 @@
-"""Generated `limits`, `yaglom`, `renewal`, `survive`, `distribution` and
-`classify` command lines never crash.
+"""Generated `limits`, `yaglom`, `renewal`, `survive`, `distribution`,
+`classify`, `simulate` and `crosscheck` command lines never crash.
 
 Every run ends in a documented exit code with no traceback, and a report
 that exits 0 states no NaN or infinity (bar the R_star of an exp triplet or
@@ -9,11 +9,13 @@ of a nilpotent finite block).
 import contextlib
 import io
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lfbp import simulate
 from lfbp.cli import main
 
 EXIT_CODES = {0, 2, 3, 4}
@@ -119,6 +121,41 @@ def finite_argv(draw):
     return [cmd[0], "--triplet", json.dumps(doc), *cmd[1:]]
 
 
+@st.composite
+def simulation_doc(draw):
+    # supercritical scalar and 3-type documents grow past the small live
+    # bound and cap that test_simulations_exit_cleanly sets
+    kind = draw(st.sampled_from(["scalar", "super", "exp", "finite"]))
+    if kind == "scalar":
+        return draw(scalar_triplet())
+    m = draw(st.floats(0.2, 3.0))
+    if kind == "super":
+        k = draw(st.floats(1.5, 3.0)) / (1.0 + m)
+        return json.dumps({"family": "scalar", "k": k, "m": m})
+    if kind == "exp":
+        lam, mu = (draw(st.floats(0.3, 3.0)) for _ in range(2))
+        return json.dumps({"family": "exp", "lambda": lam, "mu": mu, "m": m})
+    rows = np.array(draw(st.lists(st.floats(0.05, 0.95), min_size=9, max_size=9)))
+    K = rows.reshape(3, 3) / 3.0
+    return json.dumps({"family": "finite", "K": K.tolist(),
+                       "gamma": [0.2, 0.3, 0.5], "m": m})
+
+
+@st.composite
+def simulation_argv(draw):
+    cmd = draw(st.sampled_from(["simulate", "crosscheck"]))
+    argv = [cmd, "--triplet", draw(simulation_doc()),
+            "--n", str(draw(st.integers(-1, 5))),
+            "--reps", str(draw(st.sampled_from([1, 7, 120, 120]))),
+            "--seed", str(draw(st.integers(0, 99)))]
+    if cmd == "simulate":
+        sim = draw(st.sampled_from(simulate.SIMULATORS))
+        argv += ["--simulator", sim]
+        if sim == "bgw" and draw(st.booleans()):
+            argv += ["--start", draw(st.sampled_from(["0", "1", "0.5", "-1", "x"]))]
+    return argv
+
+
 def run_cleanly(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
@@ -155,3 +192,17 @@ def test_classify_exits_cleanly(argv):
 @given(st.one_of(exp_limits_argv(), finite_argv()))
 def test_generated_documents_exit_cleanly(argv):
     run_cleanly(argv)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(simulation_argv())
+def test_simulations_exit_cleanly(argv):
+    # a live bound of 256 points and a cap of 50 let small runs reach the
+    # split of a crowded bgw block and the per-replicate discard
+    real = simulate.replicate_zn
+
+    def capped(*args, **kwargs):
+        return real(*args, **{**kwargs, "cap": 50})
+    with mock.patch.object(simulate, "_LIVE", 256), \
+            mock.patch.object(simulate, "replicate_zn", capped):
+        run_cleanly(argv)
