@@ -111,21 +111,22 @@ def bgw_block(triplet: LFTriplet, start, n: int, cap: int, w: str,
     replicates, stepped together on ``stream(*key)``; shape (size, 2).
 
     Past _LIVE points the block finishes its replicates one at a time,
-    replicate j on ``stream(*key, j)``. A replicate whose generation would
-    exceed ``cap`` gets Z_n = -1 if ``discard``, else raises
-    PopulationCapError. A scalar probe value counts at every point.
+    replicate j on ``stream(*key, j + 1)``: ``stream(*key, 0)`` is the block's
+    own stream. A replicate whose generation would exceed ``cap`` gets Z_n =
+    -1 if ``discard``, else raises PopulationCapError. A scalar probe value
+    counts at every point.
     """
     w, rng = probe(w), stream(*key)
     dropped = np.zeros(size, dtype=bool) if discard else None
     cur = _start_points(triplet, start, rng, size)
-    ids = np.arange(size) if size > 1 else None
+    ids = np.arange(size)
     out = np.zeros((size, 2))
     for gen in range(1, n + 1):
-        if ids is not None and len(cur) > _LIVE:
+        if size > 1 and len(cur) > _LIVE:
             order = np.argsort(ids, kind="stable")
             live, first = np.unique(ids[order], return_index=True)
             for j, pts in zip(live, np.split(cur[order], first[1:])):
-                sub = stream(*key, j)
+                sub = stream(*key, j + 1)
                 one = None if dropped is None else dropped[j:j + 1]
                 for g in range(gen, n + 1):
                     if len(pts):
@@ -135,7 +136,6 @@ def bgw_block(triplet: LFTriplet, start, n: int, cap: int, w: str,
         if len(cur):
             cur, ids = _bgw_step(triplet, cur, ids, rng, cap, gen, dropped)
     else:
-        ids = np.zeros(len(cur), dtype=np.int64) if ids is None else ids
         out[:, 0] = np.bincount(ids, minlength=size)
         out[:, 1] = np.bincount(ids, weights=np.broadcast_to(w(cur), cur.shape),
                                 minlength=size)
@@ -309,7 +309,7 @@ def _map_chunk(make, args, seed, reps, block, lo, hi):
         draw = make(*args)
         return np.array([draw(stream(seed, i)) for i in range(lo, hi)])
     return np.concatenate([make(*args, (seed, b), min(block, reps - b * block))
-                           for b in range(lo, hi)] or [np.zeros((0, 2))])
+                           for b in range(lo, hi)])
 
 
 def bgw_sample(triplet: LFTriplet, n: int, reps: int, seed: int, start="gamma",

@@ -148,7 +148,7 @@ def test_a_lone_survivor_carries_the_marked_law(name):
 def test_split_blocks_keep_the_exact_law(name, monkeypatch):
     # a live bound just above BLOCK lets blocks step together for a few
     # generations and then finish their replicates one at a time on streams
-    # (seed, b, j)
+    # (seed, b, j + 1)
     t = TRIPLETS[name]
     monkeypatch.setattr(simulate, "_LIVE", 1100)
     paths = []
@@ -162,6 +162,21 @@ def test_split_blocks_keep_the_exact_law(name, monkeypatch):
     zw = bgw_sample(t, 5, 20_000, seed=74, w=w.spec)
     se = zw[:, 1].std(ddof=1) / np.sqrt(len(zw))
     assert abs(zw[:, 1].mean() - _gamma_mean(t, 5, w)) < 4.0 * se
+
+
+def test_split_streams_differ_from_every_other_stream(monkeypatch):
+    # SeedSequence pads its entropy with zeros, so stream(s, b, 0) is
+    # stream(s, b): a split replicate keyed that way would replay its block's
+    # uniforms. No particle ever dies here, so every replicate splits.
+    t = make_finite_triplet([[1.0]], [1.0], 0.1)
+    monkeypatch.setattr(simulate, "_LIVE", 1100)
+    keys = []
+    real = simulate.stream
+    monkeypatch.setattr(simulate, "stream",
+                        lambda *key: keys.append(key) or real(*key))
+    bgw_sample(t, 3, 2 * BLOCK + 5, seed=78, start=0)
+    assert sum(len(key) == 3 for key in keys) == 2 * BLOCK
+    assert len({real(*key).random() for key in keys}) == len(keys)
 
 
 def test_split_blocks_discard_per_replicate(monkeypatch):
