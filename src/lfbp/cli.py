@@ -1,9 +1,10 @@
 """Command-line surface: classify, evolve, simulate, verify, export.
 
 Every report embeds the resolved configuration and the library version so a
-result file is self-describing. Stochastic commands require --seed and
-key streams by bgw block b or cmj/contour replicate i as (seed, b or i);
-the merge is deterministic, so output bytes do not depend on --workers.
+result file is self-describing. Stochastic commands require --seed. Every
+simulator runs replicates in blocks of simulate.BLOCK, block b on stream
+(seed, b), and the merge is deterministic, so output bytes do not depend on
+--workers.
 
 CSV output uses '.' decimals, '\n' line endings, and a header row; a
 leading '#' comment line carries the configuration. JSON reports carry a
@@ -195,12 +196,13 @@ def cmd_distribution(args) -> int:
 
 def cmd_simulate(args) -> int:
     t = parse_triplet(args.triplet)
-    start = args.start if args.start == "gamma" else _parse_point(args.start, t)
+    start = args.start
+    if start != "gamma" and args.simulator == "bgw":
+        start = _parse_point(start, t)
     zs = simulate.replicate_zn(t, args.n, args.reps, args.seed,
                                simulator=args.simulator, start=start,
                                workers=args.workers)
-    block = {"block": simulate.BLOCK} if args.simulator == "bgw" else {}
-    cfg = _config(args, t, **block, discarded=zs.discarded)
+    cfg = _config(args, t, block=simulate.BLOCK, discarded=zs.discarded)
     rows = []
     for i, z in enumerate(zs.raw):
         if z < 0:

@@ -5,7 +5,8 @@
 * simulate_cmj: the embedded population whose individuals are maximal marked
   lineages; an individual born at b lives through [b, b+L-1] and drops a
   geometric(mean m) litter of new individuals at each age 1..L-1. The count
-  of individuals alive at time n equals Z_n in law.
+  of individuals alive at time n equals Z_n in law. ``cmj_block`` keeps the
+  age-class counts of a block of replicates.
 * simulate_contour: depth-first walk around the same lineage tree truncated
   at height n. An up-jump of size L seeds a lineage; from each height a
   Bernoulli(m/(1+m)) trial either seeds a sibling lineage (the geometric
@@ -13,11 +14,13 @@
   height range reaches n contributes one level-n excursion, so the excursion
   count is Z_n in law. Memorylessness of the geometric litters is what lets
   the walk forget which lineage's litter it is consuming, so no stack is
-  kept.
+  kept. ``contour_block`` advances a block of walks in chunks of steps.
 
 All three agree in law with the exact engine; cross-validation is their
-purpose. ``replicate_map`` runs every replicate loop on streams keyed by
-block or replicate index, so results do not depend on worker count.
+purpose. Each ``simulate_*`` is its block function for one replicate on the
+caller's stream. ``replicate_map`` runs every replicate loop in blocks of
+BLOCK replicates, block b on stream (seed, b), so results do not depend on
+worker count.
 """
 
 from __future__ import annotations
@@ -30,13 +33,14 @@ import numpy as np
 from .errors import PopulationCapError, WalkCapError
 from .measures import probe
 from .spectral import LifeLengthLaw
-from .streams import geometric, stream
+from .streams import geometric, geometric_sum, stream
 from .typespace import GenerationSnapshot, LFTriplet
 
 DEFAULT_CAP = 10_000_000
 _WALK_CAP = 100_000_000
-BLOCK = 1024          # replicates that step together on one stream in bgw
-_LIVE = 1 << 16       # points a block holds before its replicates finish alone
+BLOCK = 1024          # replicates that step together on one stream
+_LIVE = 1 << 16       # points a bgw block holds before its replicates finish alone
+_CHUNK = 1 << 16      # walk steps a contour chunk holds over all its walks
 
 
 # ---------------------------------------------------------------------------
@@ -148,6 +152,41 @@ def bgw_block(triplet: LFTriplet, start, n: int, cap: int, w: str,
 # embedded CMJ population
 # ---------------------------------------------------------------------------
 
+def _cmj_counts(law: LifeLengthLaw, n: int, rng, cap: int, size: int,
+                dropped=None) -> np.ndarray:
+    """Alive counts at times 0..n of ``size`` embedded populations; shape
+    (size, n + 1).
+
+    ages[r, a] holds replicate r's individuals of age a. A step thins age
+    a - 1 to a by Binomial(N, d_a / d_{a-1}), which gives every individual
+    P(L > a) = d_a, and each replicate's survivors drop NB(parents, 1/(1+m))
+    newborns of age 0, the sum of their geometric litters. A replicate whose
+    births would exceed ``cap`` is set in ``dropped`` and emptied; with no
+    ``dropped`` it raises PopulationCapError.
+    """
+    d = law.tails(n)
+    keep = np.minimum(np.divide(d[1:], d[:-1], out=np.zeros(n),
+                                where=d[:-1] > 0.0), 1.0)
+    ages = np.zeros((size, n + 1), dtype=np.int64)
+    ages[:, 0] = 1
+    born = np.ones(size, dtype=np.int64)
+    counts = np.ones((size, n + 1), dtype=np.int64)
+    for t in range(1, n + 1):
+        ages[:, 1:t + 1] = rng.binomial(ages[:, :t], keep[:t])
+        parents = ages[:, 1:t + 1].sum(axis=1)
+        kids = geometric_sum(rng, law.triplet.m, parents)
+        born += kids
+        over = born > cap
+        if over.any():
+            if dropped is None:
+                raise PopulationCapError(t, int(born[over][0]), cap)
+            dropped |= over
+            ages[over] = kids[over] = parents[over] = 0
+        ages[:, 0] = kids
+        counts[:, t] = parents + kids
+    return counts
+
+
 def simulate_cmj(triplet: LFTriplet, n: int, rng: np.random.Generator,
                  cap: int = DEFAULT_CAP, law: LifeLengthLaw | None = None):
     """Embedded population; returns alive counts at times 0..n.
@@ -158,73 +197,92 @@ def simulate_cmj(triplet: LFTriplet, n: int, rng: np.random.Generator,
     litter dropped at time k first counts at its own birth time k; the
     original drawing stamps the birth one step earlier (at the parent's
     reproduction) and adds the newborn a step later, which shifts labels but
-    not the law of the counts.
+    not the law of the counts. Raises PopulationCapError when the births
+    would exceed ``cap``. This is ``cmj_block`` for one replicate on ``rng``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if law is None:
-        law = LifeLengthLaw(triplet)
-    m = triplet.m
-    counts = np.zeros(n + 1, dtype=np.int64)
-    queue = [0]                       # birth times, FIFO
-    born = 1
-    head = 0
-    while head < len(queue):
-        b = queue[head]
-        head += 1
-        L = law.sample_capped(rng, n - b)     # min(L, n-b+1), exact in window
-        counts[b : min(b + L - 1, n) + 1] += 1
-        max_age = min(L - 1, n - b)
-        litters = geometric(rng, m, size=max_age) if max_age > 0 else \
-            np.empty(0, dtype=np.int64)
-        for age in range(1, max_age + 1):
-            kids = int(litters[age - 1])
-            if kids:
-                queue.extend([b + age] * kids)
-                born += kids
-                if born > cap:
-                    raise PopulationCapError(b + age, born, cap)
-    return counts
+    return _cmj_counts(law or LifeLengthLaw(triplet), n, rng, cap, 1)[0]
+
+
+def cmj_block(law: LifeLengthLaw, n: int, cap: int, key: tuple,
+              size: int) -> np.ndarray:
+    """Z_n of a block's ``size`` embedded populations, stepped together on
+    ``stream(*key)``; a replicate whose births would exceed ``cap`` gets -1."""
+    dropped = np.zeros(size, dtype=bool)
+    zn = _cmj_counts(law, n, stream(*key), cap, size, dropped)[:, n]
+    zn[dropped] = -1
+    return zn
 
 
 # ---------------------------------------------------------------------------
 # contour walk
 # ---------------------------------------------------------------------------
 
+def _contour_counts(law: LifeLengthLaw, n: int, rng, step_cap: int, size: int,
+                    dropped=None) -> np.ndarray:
+    """Level-n excursion counts of ``size`` contour walks, advanced in chunks.
+
+    A step is X = L - 1 with probability m/(1+m) (a sibling lineage seeded
+    from the current height) and -1 otherwise. The height capped at n is
+    h_k = S_k + min(h_0, n - max_{j<=k} S_j) for the partial sums S of the
+    steps, and drawing L capped at n is exact for it. Every h_k = n before
+    the walk's first h_k = 0 is one level-n excursion. A chunk holds at most
+    _CHUNK steps over all live walks. A walk still live after ``step_cap``
+    steps is set in ``dropped``; with no ``dropped`` it raises WalkCapError.
+    """
+    p_up = law.triplet.m / (1.0 + law.triplet.m)
+    h = np.minimum(law.sample_capped(rng, n, size=size) - 1, n)
+    count = (h == n).astype(np.int64)
+    live = np.flatnonzero(h > 0)
+    steps, width = 0, 8
+    while len(live):
+        if steps >= step_cap:
+            if dropped is None:
+                raise WalkCapError(steps + 1, step_cap)
+            dropped[live] = True
+            break
+        width = min(2 * width, _CHUNK // len(live), step_cap - steps)
+        up = rng.random((len(live), width)) < p_up
+        x = np.full(up.shape, -1, dtype=np.int64)
+        x[up] = law.sample_capped(rng, n, size=int(up.sum())) - 1
+        s = np.cumsum(x, axis=1)
+        hk = s + np.minimum(h[live, None], n - np.maximum.accumulate(s, axis=1))
+        zero = hk == 0
+        end = np.where(zero.any(axis=1), zero.argmax(axis=1), width)
+        count[live] += ((hk == n) & (np.arange(width) < end[:, None])).sum(axis=1)
+        h[live] = hk[:, -1]
+        live = live[end == width]
+        steps += width
+    return count
+
+
 def simulate_contour(triplet: LFTriplet, n: int, rng: np.random.Generator,
                      law: LifeLengthLaw | None = None,
                      step_cap: int = _WALK_CAP):
     """Level-n excursion count of the contour walk; equals Z_n in law.
 
-    Each up-jump draws L (capped at the headroom to n, which is exact for
-    the count); a lineage seeded at height h covers heights h..h+L-1 and
-    contributes one excursion iff that range reaches n. Between up-jumps the
-    walk descends by unit steps, each down step taken with probability
-    1/(1+m) against m/(1+m) for seeding the next sibling.
+    Each up-jump draws L (capped at n, which is exact for the count); a
+    lineage seeded at height h covers heights h..h+L-1 and contributes one
+    excursion iff that range reaches n. Between up-jumps the walk descends
+    by unit steps, each down step taken with probability 1/(1+m) against
+    m/(1+m) for seeding the next sibling. Raises WalkCapError past
+    ``step_cap`` steps. This is ``contour_block`` for one walk on ``rng``.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if n == 0:
-        return 1
-    if law is None:
-        law = LifeLengthLaw(triplet)
-    p_up = triplet.m / (1.0 + triplet.m)
-    L = law.sample_capped(rng, n)
-    count = 1 if L - 1 >= n else 0
-    h = min(L - 1, n)
-    steps = 0
-    while h > 0:
-        steps += 1
-        if steps > step_cap:
-            raise WalkCapError(steps, step_cap)
-        if rng.random() < p_up:
-            L = law.sample_capped(rng, n - h)
-            if h + L - 1 >= n:
-                count += 1
-            h = min(h + L - 1, n)
-        else:
-            h -= 1
-    return count
+    return int(_contour_counts(law or LifeLengthLaw(triplet), n, rng,
+                               step_cap, 1)[0])
+
+
+def contour_block(law: LifeLengthLaw, n: int, step_cap: int, key: tuple,
+                  size: int) -> np.ndarray:
+    """Level-n excursion counts of a block's ``size`` walks, advanced together
+    on ``stream(*key)``; a walk past ``step_cap`` steps gets -1."""
+    dropped = np.zeros(size, dtype=bool)
+    zn = _contour_counts(law, n, stream(*key), step_cap, size, dropped)
+    zn[dropped] = -1
+    return zn
 
 
 # ---------------------------------------------------------------------------
@@ -283,32 +341,27 @@ class ZnSample:
         return self.values[self.values > 0]
 
 
-def replicate_map(make, args: tuple, reps: int, seed: int, workers: int = 1,
-                  block: int | None = None) -> np.ndarray:
+def replicate_map(make, args: tuple, reps: int, seed: int,
+                  workers: int = 1) -> np.ndarray:
     """Values of replicates 0..reps-1 in order.
 
-    Without ``block``, replicate i uses stream (seed, i) and ``make(*args)``
-    builds ``rng -> value`` once per chunk. With ``block`` = B, block b holds
-    replicates [bB, min(reps, (b+1)B)) valued ``make(*args, (seed, b), size)``.
-    A process pool runs chunks of whole units when there are at least four
-    per worker; ``make`` and ``args`` must then pickle.
+    Block b holds replicates [bB, min(reps, (b+1)B)) for B = BLOCK, valued
+    ``make(*args, (seed, b), size)``. A process pool runs chunks of whole
+    blocks when there are at least four per worker; ``make`` and ``args``
+    must then pickle.
     """
-    units = reps if block is None else -(-reps // block)
-    if workers <= 1 or units < 4 * workers:
-        return _map_chunk(make, args, seed, reps, block, 0, units)
-    bounds = np.linspace(0, units, workers + 1, dtype=int)
+    blocks = -(-reps // BLOCK)
+    if workers <= 1 or blocks < 4 * workers:
+        return _map_chunk(make, args, seed, reps, 0, blocks)
+    bounds = np.linspace(0, blocks, workers + 1, dtype=int)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-        futs = [pool.submit(_map_chunk, make, args, seed, reps, block,
-                            int(lo), int(hi))
+        futs = [pool.submit(_map_chunk, make, args, seed, reps, int(lo), int(hi))
                 for lo, hi in zip(bounds[:-1], bounds[1:])]
         return np.concatenate([f.result() for f in futs])
 
 
-def _map_chunk(make, args, seed, reps, block, lo, hi):
-    if block is None:
-        draw = make(*args)
-        return np.array([draw(stream(seed, i)) for i in range(lo, hi)])
-    return np.concatenate([make(*args, (seed, b), min(block, reps - b * block))
+def _map_chunk(make, args, seed, reps, lo, hi):
+    return np.concatenate([make(*args, (seed, b), min(BLOCK, reps - b * BLOCK))
                            for b in range(lo, hi)])
 
 
@@ -320,40 +373,35 @@ def bgw_sample(triplet: LFTriplet, n: int, reps: int, seed: int, start="gamma",
     if n < 0:
         raise ValueError("n must be >= 0")
     return replicate_map(bgw_block, (triplet, start, n, cap, w, discard), reps,
-                         seed, workers, BLOCK)
-
-
-def _zn_draw(triplet, simulator, n, cap):
-    """Per-replicate Z_n function of cmj or contour; a capped run gives -1."""
-    law = LifeLengthLaw(triplet)
-
-    def draw(rng):
-        try:
-            if simulator == "cmj":
-                return int(simulate_cmj(triplet, n, rng, cap=cap, law=law)[n])
-            return simulate_contour(triplet, n, rng, law=law)
-        except (PopulationCapError, WalkCapError):
-            return -1
-    return draw
+                         seed, workers)
 
 
 def replicate_zn(triplet: LFTriplet, n: int, reps: int, seed: int,
                  simulator: str = "bgw", start="gamma", workers: int = 1,
                  cap: int = DEFAULT_CAP) -> ZnSample:
-    """Draw Z_n ``reps`` times: bgw block b on stream (seed, b), cmj and
-    contour replicate i on stream (seed, i).
+    """Draw Z_n ``reps`` times in blocks of BLOCK replicates, block b on
+    stream (seed, b), so results are identical for any worker count.
 
-    Either layout makes results identical for any worker count; capped runs
-    are discarded and counted, never silently truncated.
+    Only bgw takes a typed ``start``; cmj and contour draw their ancestor
+    from gamma. ``cap`` bounds a bgw generation or the births of a cmj
+    population. Capped runs are discarded and counted, never silently
+    truncated.
     """
     if simulator not in SIMULATORS:
         raise ValueError(f"unknown simulator {simulator!r}; pick from {SIMULATORS}")
+    if simulator != "bgw" and start != "gamma":
+        raise ValueError(f"--start {start}: {simulator} draws its ancestor from "
+                         f"gamma; only --simulator bgw takes a typed start")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if simulator == "bgw":
         raw = bgw_sample(triplet, n, reps, seed, start, workers=workers,
                          cap=cap, discard=True)[:, 0]
     else:
-        raw = replicate_map(_zn_draw, (triplet, simulator, n, cap), reps, seed,
-                            workers)
+        block, limit = ((cmj_block, cap) if simulator == "cmj"
+                        else (contour_block, _WALK_CAP))
+        raw = replicate_map(block, (LifeLengthLaw(triplet), n, limit), reps,
+                            seed, workers)
     raw = raw.astype(np.int64)
     keep = raw[raw >= 0]
     return ZnSample(keep, int((raw < 0).sum()), simulator, n, seed, raw)

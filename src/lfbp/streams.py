@@ -41,3 +41,15 @@ def geometric(rng: np.random.Generator, m: float, size: int | None = None):
     if size is None:
         return int(out)
     return out.astype(np.int64)
+
+
+def geometric_sum(rng: np.random.Generator, m: float, count) -> np.ndarray:
+    """Per entry of ``count``, the sum of that many independent geometric
+    litters of mean ``m``: NB(count, 1/(1+m)), one draw per entry.
+
+    Drawn as the gamma-Poisson mixture Poisson(m Gamma(count)), which allows
+    a count of 0 and any m. A Poisson rate above 2^62, a litter far past any
+    population cap, is drawn at 2^62.
+    """
+    rate = m * rng.standard_gamma(np.asarray(count, dtype=float))
+    return rng.poisson(np.minimum(rate, 2.0 ** 62))

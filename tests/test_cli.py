@@ -110,12 +110,11 @@ def test_simulate_csv_worker_byte_identity(tmp_path, capsys):
 
 @pytest.mark.parametrize("sim", ["bgw", "cmj", "contour"])
 def test_simulate_config_echoes_the_bgw_block(sim, capsys):
-    # bgw block b draws from stream (seed, b); cmj and contour replicate i
-    # from stream (seed, i), so only bgw states a block size
+    # every simulator draws block b from stream (seed, b)
     assert main(["simulate", "--triplet", SCALAR_CRIT, "--n", "2", "--reps",
                  "3", "--seed", "7", "--simulator", sim]) == 0
     cfg = json.loads(capsys.readouterr().out.splitlines()[0][len("# config "):])
-    assert cfg.get("block") == (simulate.BLOCK if sim == "bgw" else None)
+    assert cfg["block"] == simulate.BLOCK == 1024
 
 
 def test_crosscheck_diagonal_and_agreement(capsys):

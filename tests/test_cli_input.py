@@ -104,6 +104,20 @@ def test_negative_horizon_exits_2_for_every_simulator(sim, capsys):
     assert "n must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("sim", ["cmj", "contour"])
+@pytest.mark.parametrize("start", ["1", "x"])
+def test_typed_start_exits_2_for_cmj_and_contour(sim, start, capsys):
+    # gamma starts every replicate at type 0, which dies at once; a typed
+    # start of 1 would survive, so ignoring it reported Z_3 = 0 throughout
+    doc = ('{"family": "finite", "K": [[0.0, 0.0], [0.0, 0.9]], '
+           '"gamma": [1.0, 0.0], "m": 1.0}')
+    argv = ["simulate", "--triplet", doc, "--n", "3", "--reps", "40",
+            "--seed", "3", "--start", start]
+    assert main(argv + ["--simulator", sim]) == 2
+    err = capsys.readouterr().err
+    assert f"--start {start}" in err and "Traceback" not in err
+
+
 def test_quadrature_failure_exits_4_naming_estimate_and_tol(monkeypatch, capsys):
     from lfbp.errors import QuadratureError
     from lfbp.measures import MixtureMeasure

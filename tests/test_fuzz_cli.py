@@ -197,12 +197,14 @@ def test_generated_documents_exit_cleanly(argv):
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(simulation_argv())
 def test_simulations_exit_cleanly(argv):
-    # a live bound of 256 points and a cap of 50 let small runs reach the
-    # split of a crowded bgw block and the per-replicate discard
+    # a live bound of 256 points, a cap of 50 and a walk cap of 40 steps let
+    # small runs reach the split of a crowded bgw block and the per-replicate
+    # discards of bgw, cmj and contour
     real = simulate.replicate_zn
 
     def capped(*args, **kwargs):
         return real(*args, **{**kwargs, "cap": 50})
     with mock.patch.object(simulate, "_LIVE", 256), \
+            mock.patch.object(simulate, "_WALK_CAP", 40), \
             mock.patch.object(simulate, "replicate_zn", capped):
         run_cleanly(argv)

@@ -1,8 +1,8 @@
 """The one replicate map and the Monte Carlo paths built on it.
 
-The batched BGW engine is checked in law against the exact generation-n
-law at fixed seeds, on the block path and on the path where a crowded
-block finishes its replicates one at a time.
+The batched engines of all three simulators are checked in law against the
+exact generation-n law at fixed seeds; for bgw also on the path where a
+crowded block finishes its replicates one at a time.
 """
 
 import numpy as np
@@ -14,7 +14,10 @@ from lfbp.errors import PopulationCapError
 from lfbp.evolution import evolve
 from lfbp.measures import probe
 from lfbp.simulate import (BLOCK, DEFAULT_CAP, bgw_block, bgw_sample,
-                           replicate_map, replicate_zn, simulate_bgw)
+                           cmj_block, contour_block, replicate_map,
+                           replicate_zn, simulate_bgw, simulate_cmj,
+                           simulate_contour)
+from lfbp.spectral import LifeLengthLaw
 from lfbp.stats import yaglom_sample
 from lfbp.typespace import make_exp_triplet, make_finite_triplet
 
@@ -27,15 +30,19 @@ TRIPLETS = {
 TYPED_START = {"scalar": 0, "3-type": 1, "exp": 0.5}
 
 
-def _first_uniform(scale):
-    return lambda rng: scale * rng.random()
+def _uniforms(scale, key, size):
+    return scale * streams.stream(*key).random(size)
 
 
-def test_replicate_map_keys_replicate_i_to_stream_i():
-    got = replicate_map(_first_uniform, (2.0,), 12, seed=5)
-    want = [2.0 * streams.stream(5, i).random() for i in range(12)]
+def test_replicate_map_keys_block_b_to_stream_b():
+    # 12 whole blocks and a one-replicate block, so workers=3 pools
+    reps = 12 * BLOCK + 1
+    got = replicate_map(_uniforms, (2.0,), reps, seed=5)
+    sizes = [BLOCK] * 12 + [1]
+    want = 2.0 * np.concatenate([streams.stream(5, b).random(size)
+                                 for b, size in enumerate(sizes)])
     assert np.array_equal(got, want)
-    pooled = replicate_map(_first_uniform, (2.0,), 12, seed=5, workers=3)
+    pooled = replicate_map(_uniforms, (2.0,), reps, seed=5, workers=3)
     assert np.array_equal(got, pooled)
 
 
@@ -60,6 +67,17 @@ def test_one_replicate_block_matches_simulate_bgw_on_the_same_stream(family,
         z, s = bgw_block(t, start, 6, DEFAULT_CAP, w.spec, False, (seed, 0), 1)[0]
         assert z == len(last) and s == pytest.approx(float(w(last).sum()))
         assert replicate_zn(t, 6, 1, seed, start=start).raw[0] == len(last)
+
+
+@pytest.mark.parametrize("name", list(TRIPLETS))
+def test_one_replicate_block_matches_cmj_and_contour_on_the_same_stream(name):
+    t = TRIPLETS[name]
+    law = LifeLengthLaw(t)
+    for seed in range(100):
+        counts = simulate_cmj(t, 6, streams.stream(seed, 0))
+        assert cmj_block(law, 6, DEFAULT_CAP, (seed, 0), 1)[0] == counts[6]
+        walk = simulate_contour(t, 6, streams.stream(seed, 0))
+        assert contour_block(law, 6, simulate._WALK_CAP, (seed, 0), 1)[0] == walk
 
 
 def test_a_scalar_probe_value_counts_at_every_point():
@@ -117,6 +135,15 @@ def test_batched_zn_matches_exact_pmf(name, typed):
     zs = replicate_zn(t, 5, 20_000, seed=71, start=start)
     assert zs.discarded == 0
     assert _chi_square_p(zs.raw, t, 5, start) > 1e-3
+
+
+@pytest.mark.parametrize("name", list(TRIPLETS))
+@pytest.mark.parametrize("sim", ["cmj", "contour"])
+def test_cmj_and_contour_blocks_match_exact_pmf(name, sim):
+    t = TRIPLETS[name]
+    zs = replicate_zn(t, 5, 20_000, seed=79, simulator=sim)
+    assert zs.discarded == 0
+    assert _chi_square_p(zs.raw, t, 5, "gamma") > 1e-3
 
 
 @pytest.mark.parametrize("name", ["3-type", "exp"])
@@ -195,6 +222,32 @@ def test_split_blocks_discard_per_replicate(monkeypatch):
         assert abs(zeros - 400 * q) < 4.0 * np.sqrt(400 * q * (1.0 - q))
 
 
+def test_cmj_cap_discards_per_replicate():
+    # a replicate that dies out rarely has 200 births, so the extinct count
+    # follows the exact P(Z_25 = 0) while growing replicates pass the cap
+    t = make_finite_triplet([[0.75]], [1.0], 1.0)
+    q = 1.0 - evolve(t, 25).survival(0)
+    zs = replicate_zn(t, 25, 400, seed=80, simulator="cmj", cap=200)
+    assert zs.discarded > 0
+    assert np.array_equal(zs.values, zs.raw[zs.raw >= 0])
+    zeros = int((zs.raw == 0).sum())
+    assert abs(zeros - 400 * q) < 4.0 * np.sqrt(400 * q * (1.0 - q))
+
+
+def test_contour_step_cap_discards_per_walk():
+    # one step allowed: a walk finishes only if it starts at height 0
+    # (L = 1) or starts at 1 (L = 2) and steps down; it then counts 0
+    t = TRIPLETS["scalar"]
+    law = LifeLengthLaw(t)
+    d = law.tails(2)
+    kept = (1.0 - d[1]) + (d[1] - d[2]) / (1.0 + t.m)
+    zn = np.concatenate([contour_block(law, 5, 1, (81, b), BLOCK)
+                         for b in range(4)])
+    assert set(np.unique(zn)) == {-1, 0}
+    hits, reps = int((zn == 0).sum()), len(zn)
+    assert abs(hits - reps * kept) < 4.0 * np.sqrt(reps * kept * (1.0 - kept))
+
+
 @pytest.mark.parametrize("workers", [2, 3])
 def test_blocks_are_byte_identical_across_workers(workers):
     # 12 whole blocks and a one-replicate block: both pools split blocks
@@ -202,6 +255,8 @@ def test_blocks_are_byte_identical_across_workers(workers):
     one = bgw_sample(t, 4, reps, seed=75, w="tilt:0.7")
     many = bgw_sample(t, 4, reps, seed=75, w="tilt:0.7", workers=workers)
     assert one.shape == (reps, 2) and one.tobytes() == many.tobytes()
-    a = replicate_zn(TRIPLETS["3-type"], 4, reps, seed=76)
-    b = replicate_zn(TRIPLETS["3-type"], 4, reps, seed=76, workers=workers)
-    assert a.raw.tobytes() == b.raw.tobytes()
+    for sim in ("bgw", "cmj", "contour"):
+        a = replicate_zn(TRIPLETS["3-type"], 4, reps, seed=76, simulator=sim)
+        b = replicate_zn(TRIPLETS["3-type"], 4, reps, seed=76, simulator=sim,
+                         workers=workers)
+        assert a.raw.tobytes() == b.raw.tobytes()
