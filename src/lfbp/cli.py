@@ -59,11 +59,32 @@ def parse_triplet(spec: str) -> LFTriplet:
     return triplet_from_dict(doc)
 
 
-def _parse_point(raw: str | None, triplet: LFTriplet):
+def _parse_point(raw: str | None, triplet: LFTriplet, flag: str):
+    """The type point ``flag`` names, else ValueError naming the flag."""
+    finite = triplet.family == FAMILY_FINITE
     # exp-family types live on (0, inf), so the default must be interior
     if raw is None:
-        return 0 if triplet.family == FAMILY_FINITE else 1.0
-    return int(raw) if triplet.family == FAMILY_FINITE else float(raw)
+        return 0 if finite else 1.0
+    try:
+        point = int(raw) if finite else float(raw)
+    except ValueError:
+        kind = "an integer type index" if finite else "a real type point"
+        raise ValueError(f"{flag} {raw}: must be {kind}") from None
+    try:
+        return triplet.validate_point(point)
+    except ValueError as exc:
+        raise ValueError(f"{flag} {raw}: {exc}") from None
+
+
+def _parse_range(raw: str, flag: str) -> tuple[float, float]:
+    """LO:HI with 0 < LO <= HI < inf, else ValueError naming the flag."""
+    try:
+        lo, hi = (float(p) for p in raw.split(":"))
+    except ValueError:
+        raise ValueError(f"{flag} {raw}: must be LO:HI") from None
+    if not 0.0 < lo <= hi < np.inf:
+        raise ValueError(f"{flag} {raw}: must have 0 < LO <= HI < inf")
+    return lo, hi
 
 
 def _count(least: int):
@@ -147,10 +168,8 @@ def cmd_classify(args) -> int:
 
 
 def cmd_phase_grid(args) -> int:
-    lo_l, hi_l = (float(p) for p in args.lambda_range.split(":"))
-    lo_m, hi_m = (float(p) for p in args.mu_range.split(":"))
-    if lo_l <= 0 or lo_m <= 0:
-        raise ValueError("ranges must be positive")
+    lo_l, hi_l = _parse_range(args.lambda_range, "--lambda-range")
+    lo_m, hi_m = _parse_range(args.mu_range, "--mu-range")
     g = args.grid
     lams = np.linspace(lo_l, hi_l, g)
     mus = np.linspace(lo_m, hi_m, g)
@@ -171,7 +190,7 @@ def cmd_phase_grid(args) -> int:
 
 def cmd_survive(args) -> int:
     t = parse_triplet(args.triplet)
-    x = _parse_point(args.x, t)
+    x = _parse_point(args.x, t, "--x")
     p = evolution.survival_prob(t, x, args.n)
     report = {"schema": JSON_SCHEMA, "config": _config(args, t),
               "n": args.n, "x": x, "survival": p}
@@ -181,7 +200,7 @@ def cmd_survive(args) -> int:
 
 def cmd_distribution(args) -> int:
     t = parse_triplet(args.triplet)
-    x = _parse_point(args.x, t)
+    x = _parse_point(args.x, t, "--x")
     law = evolution.evolve(t, args.n)
     functionals = {spec: law.functional(x, stats.probe(spec))
                    for spec in ("const:0.5", "tilt:1.0")}
@@ -198,7 +217,7 @@ def cmd_simulate(args) -> int:
     t = parse_triplet(args.triplet)
     start = args.start
     if start != "gamma" and args.simulator == "bgw":
-        start = _parse_point(start, t)
+        start = _parse_point(start, t, "--start")
     zs = simulate.replicate_zn(t, args.n, args.reps, args.seed,
                                simulator=args.simulator, start=start,
                                workers=args.workers)
@@ -251,7 +270,7 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_limits(args) -> int:
     t = parse_triplet(args.triplet)
-    x = _parse_point(args.x, t)
+    x = _parse_point(args.x, t, "--x")
     grid = _parse_list(args.grid, int) if args.grid else None
     out = stats.limit_report(t, x, grid, args.tol or 1e-3, w=args.w or "const",
                              reps=args.reps, seed=args.seed,
@@ -304,99 +323,106 @@ def cmd_renewal(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _common(p, triplet=True, seed=False, reps=False, n=None, formats=("json",),
+            tol=False, workers=False):
+    # --tol and --workers only where read; --format offers what p writes
+    if triplet:
+        p.add_argument("--triplet", required=True,
+                       help="inline JSON or path to a JSON file")
+    if seed:
+        p.add_argument("--seed", type=int, required=True,
+                       help="base seed of the replicate streams")
+    if reps:
+        p.add_argument("--reps", type=_count(1), required=True)
+    if n:
+        p.add_argument("--n", type=n, required=True,
+                       help="generation horizon")
+    p.add_argument("--out", help="output path (default stdout)")
+    p.add_argument("--format", choices=formats, default=formats[0])
+    if workers:
+        p.add_argument("--workers", type=_count(1), default=1)
+    if tol:
+        p.add_argument("--tol", type=_tolerance, default=None)
+
+
+_ANCESTOR = ("--x", dict(help="ancestor type (index, default 0; or real, default 1.0)"))
+
+# name: (handler, help, _common options, the command's own flags in order)
+COMMANDS = {
+    "classify": (cmd_classify, "criticality, R, rho, alpha, beta, E[L]", {}, []),
+    "phase-grid": (
+        cmd_phase_grid, "CSV of (lam, mu, alpha, beta, E[L], class) nodes",
+        dict(triplet=False, formats=("csv",)),
+        [("--m", dict(type=float, required=True)),
+         ("--lambda-range", dict(required=True, metavar="LO:HI")),
+         ("--mu-range", dict(required=True, metavar="LO:HI")),
+         ("--grid", dict(type=_count(1), default=50))]),
+    "survive": (cmd_survive, "exact P_x(Z_n > 0)", dict(n=int), [_ANCESTOR]),
+    "distribution": (
+        cmd_distribution, "exact generation-n law: m_n, survival, functionals",
+        dict(n=int), [_ANCESTOR]),
+    "simulate": (
+        cmd_simulate, "per-replicate Z_n CSV",
+        dict(seed=True, reps=True, n=int, formats=("csv",), workers=True),
+        [("--simulator", dict(choices=simulate.SIMULATORS, default="bgw")),
+         ("--start", dict(default="gamma",
+                          help="'gamma' or an ancestor type (bgw only)"))]),
+    "crosscheck": (
+        cmd_crosscheck, "pairwise KS table across the three simulators",
+        dict(seed=True, reps=True, n=int, formats=("json", "csv"), workers=True),
+        []),
+    "limits": (
+        cmd_limits, "regime limit-theorem verification report",
+        dict(tol=True, workers=True),
+        [_ANCESTOR,
+         ("--grid", dict(help="comma-separated n grid")),
+         ("--reps", dict(type=_count(0), default=0,
+                         help="enable the Monte Carlo checks (0 = off)")),
+         ("--seed", dict(type=int, help="required when --reps > 0")),
+         ("--w", dict(help="probe for the scaled-population checks"))]),
+    "yaglom": (
+        cmd_yaglom, "conditioned scaled-population law vs exponential",
+        dict(seed=True, reps=True, n=_count(1), workers=True),
+        [("--w", dict(help="probe (default const)"))]),
+    "renewal": (
+        cmd_renewal, "c_n = b_n + sum a_k c_{n-k} utility",
+        dict(triplet=False, n=_count(0), formats=("json", "csv"), tol=True),
+        [("--a", dict(required=True, help="comma list, lag 1 first")),
+         ("--b", dict(required=True, help="comma list, lag 0 first"))]),
+}
+
+
+def _build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The full parser, or the top level with only ``command``'s subparser.
+
+    The one-command parser lists every command in its usage line, so each
+    usage, help and error text it prints is the full parser's, byte for byte.
+    """
     ap = argparse.ArgumentParser(
         prog="lfbp",
         description="Linear-fractional branching processes: exact generation "
                     "laws, spectral classification, simulators, and "
                     "limit-theorem verifiers.")
     ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def common(p, triplet=True, seed=False, reps=False, n=None,
-               formats=("json",), tol=False, workers=False):
-        # --tol and --workers only where read; --format offers what p writes
-        if triplet:
-            p.add_argument("--triplet", required=True,
-                           help="inline JSON or path to a JSON file")
-        if seed:
-            p.add_argument("--seed", type=int, required=True,
-                           help="base seed of the replicate streams")
-        if reps:
-            p.add_argument("--reps", type=_count(1), required=True)
-        if n:
-            p.add_argument("--n", type=n, required=True,
-                           help="generation horizon")
-        p.add_argument("--out", help="output path (default stdout)")
-        p.add_argument("--format", choices=formats, default=formats[0])
-        if workers:
-            p.add_argument("--workers", type=_count(1), default=1)
-        if tol:
-            p.add_argument("--tol", type=_tolerance, default=None)
-
-    p = sub.add_parser("classify", help="criticality, R, rho, alpha, beta, E[L]")
-    common(p)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser("phase-grid",
-                       help="CSV of (lam, mu, alpha, beta, E[L], class) nodes")
-    common(p, triplet=False, formats=("csv",))
-    p.add_argument("--m", type=float, required=True)
-    p.add_argument("--lambda-range", required=True, metavar="LO:HI")
-    p.add_argument("--mu-range", required=True, metavar="LO:HI")
-    p.add_argument("--grid", type=int, default=50)
-    p.set_defaults(fn=cmd_phase_grid)
-
-    p = sub.add_parser("survive", help="exact P_x(Z_n > 0)")
-    common(p, n=int)
-    p.add_argument("--x", help="ancestor type (index, default 0; or real, default 1.0)")
-    p.set_defaults(fn=cmd_survive)
-
-    p = sub.add_parser("distribution",
-                       help="exact generation-n law: m_n, survival, functionals")
-    common(p, n=int)
-    p.add_argument("--x", help="ancestor type (index, default 0; or real, default 1.0)")
-    p.set_defaults(fn=cmd_distribution)
-
-    p = sub.add_parser("simulate", help="per-replicate Z_n CSV")
-    common(p, seed=True, reps=True, n=int, formats=("csv",), workers=True)
-    p.add_argument("--simulator", choices=simulate.SIMULATORS, default="bgw")
-    p.add_argument("--start", default="gamma",
-                   help="'gamma' or an ancestor type (bgw only)")
-    p.set_defaults(fn=cmd_simulate)
-
-    p = sub.add_parser("crosscheck",
-                       help="pairwise KS table across the three simulators")
-    common(p, seed=True, reps=True, n=int, formats=("json", "csv"), workers=True)
-    p.set_defaults(fn=cmd_crosscheck)
-
-    p = sub.add_parser("limits", help="regime limit-theorem verification report")
-    common(p, tol=True, workers=True)
-    p.add_argument("--x", help="ancestor type (index, default 0; or real, default 1.0)")
-    p.add_argument("--grid", help="comma-separated n grid")
-    p.add_argument("--reps", type=_count(0), default=0,
-                   help="enable the Monte Carlo checks (0 = off)")
-    p.add_argument("--seed", type=int, help="required when --reps > 0")
-    p.add_argument("--w", help="probe for the scaled-population checks")
-    p.set_defaults(fn=cmd_limits)
-
-    p = sub.add_parser("yaglom",
-                       help="conditioned scaled-population law vs exponential")
-    common(p, seed=True, reps=True, n=_count(1), workers=True)
-    p.add_argument("--w", help="probe (default const)")
-    p.set_defaults(fn=cmd_yaglom)
-
-    p = sub.add_parser("renewal", help="c_n = b_n + sum a_k c_{n-k} utility")
-    common(p, triplet=False, n=_count(0), formats=("json", "csv"), tol=True)
-    p.add_argument("--a", required=True, help="comma list, lag 1 first")
-    p.add_argument("--b", required=True, help="comma list, lag 0 first")
-    p.set_defaults(fn=cmd_renewal)
-
+    sub = ap.add_subparsers(
+        dest="command", required=True,
+        metavar=None if command is None else "{" + ",".join(COMMANDS) + "}")
+    for name in COMMANDS if command is None else [command]:
+        fn, help_, common, flags = COMMANDS[name]
+        p = sub.add_parser(name, help=help_)
+        _common(p, **common)
+        for flag, kwargs in flags:
+            p.add_argument(flag, **kwargs)
+        p.set_defaults(fn=fn)
     return ap
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # only the named command's subparser is built; anything else (-h,
+    # --version, a typo, no command) gets the full parser and its messages
+    args = _build_parser(argv[0] if argv and argv[0] in COMMANDS else None
+                         ).parse_args(argv)
     try:
         return args.fn(args)
     except (TripletFormatError, RegimeError, ValueError) as exc:

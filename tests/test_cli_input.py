@@ -184,3 +184,51 @@ def test_limits_at_an_ancestor_outside_E_R_exits_2_naming_x(capsys):
     assert "Traceback" not in err
     assert main(["limits", "--triplet", doc, "--x", "1"]) == 0
     assert "Infinity" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv,named", [
+    (["simulate", "--triplet", SCALAR_CRIT, "--n", "3", "--reps", "5",
+      "--seed", "1", "--start", "x"], "--start x: must be an integer type index"),
+    (["simulate", "--triplet", SCALAR_CRIT, "--n", "3", "--reps", "5",
+      "--seed", "1", "--start", "4"], "--start 4: type point 4 is not an index"),
+    (["survive", "--triplet", SCALAR_CRIT, "--n", "3", "--x", "x"],
+     "--x x: must be an integer type index"),
+    (["survive", "--triplet", EXP_CRIT, "--n", "3", "--x", "x"],
+     "--x x: must be a real type point"),
+    (["distribution", "--triplet", SCALAR_CRIT, "--n", "3", "--x", "x"],
+     "--x x: must be an integer type index"),
+    (["limits", "--triplet", SCALAR_CRIT, "--grid", "10,20", "--x", "x"],
+     "--x x: must be an integer type index"),
+])
+def test_a_bad_type_point_exits_2_naming_its_flag(argv, named, capsys):
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert named in err and out == ""
+    assert "Traceback" not in err
+
+
+PHASE = ["phase-grid", "--m", "2"]
+
+
+@pytest.mark.parametrize("flags,named", [
+    (["--lambda-range", "1:2", "--mu-range", "1:2", "--grid", "0"],
+     "argument --grid: must be >= 1, got 0"),
+    (["--lambda-range", "1:2", "--mu-range", "1:2", "--grid", "-2"],
+     "argument --grid: must be >= 1, got -2"),
+    (["--lambda-range", "3:0.25", "--mu-range", "1:2"],
+     "--lambda-range 3:0.25: must have 0 < LO <= HI < inf"),
+    (["--lambda-range", "1:2", "--mu-range", "0:2"],
+     "--mu-range 0:2: must have 0 < LO <= HI < inf"),
+    (["--lambda-range", "1:nan", "--mu-range", "1:2"],
+     "--lambda-range 1:nan: must have 0 < LO <= HI < inf"),
+    (["--lambda-range", "1:2", "--mu-range", "1"], "--mu-range 1: must be LO:HI"),
+])
+def test_phase_grid_input_exits_2_naming_the_flag(flags, named, capsys):
+    try:
+        rc = main(PHASE + flags)
+    except SystemExit as exc:       # argparse rejected the flag
+        rc = exc.code
+    assert rc == 2
+    out, err = capsys.readouterr()
+    assert named in err and out == ""
+    assert "Traceback" not in err

@@ -1,5 +1,6 @@
 """Generated `limits`, `yaglom`, `renewal`, `survive`, `distribution`,
-`classify`, `simulate` and `crosscheck` command lines never crash.
+`classify`, `simulate`, `crosscheck` and `phase-grid` command lines never
+crash.
 
 Every run ends in a documented exit code with no traceback, and a report
 that exits 0 states no NaN or infinity (bar the R_star of an exp triplet or
@@ -122,6 +123,20 @@ def finite_argv(draw):
 
 
 @st.composite
+def phase_grid_argv(draw):
+    # valid ranges, and ranges in either order, with zero, negative, NaN,
+    # infinite or missing ends; grids down to -3
+    pos = st.floats(0.05, 4.0)
+    good = st.tuples(pos, pos).map(lambda v: f"{min(v)!r}:{max(v)!r}")
+    end = st.one_of(st.sampled_from(ODD_FLOATS), pos.map(repr))
+    ranges = st.one_of(good, good, st.tuples(end, end).map(":".join), end)
+    m = draw(st.one_of(pos.map(repr), pos.map(repr), st.sampled_from(ODD_FLOATS)))
+    # --flag=value, so that argparse never reads a value such as -inf:1 as a flag
+    return ["phase-grid", f"--m={m}", f"--lambda-range={draw(ranges)}",
+            f"--mu-range={draw(ranges)}", f"--grid={draw(st.integers(-3, 4))}"]
+
+
+@st.composite
 def simulation_doc(draw):
     # supercritical scalar and 3-type documents grow past the small live
     # bound and cap that test_simulations_exit_cleanly sets
@@ -170,6 +185,7 @@ def run_cleanly(argv):
         if argv[0] == "classify":     # R_* is infinite without a cycle
             text = text.replace('"R_star": Infinity', "")
         assert "NaN" not in text and "Infinity" not in text, (argv, text)
+    return rc, out.getvalue(), err.getvalue()
 
 
 @settings(max_examples=200, deadline=None, derandomize=True)
@@ -208,3 +224,29 @@ def test_simulations_exit_cleanly(argv):
             mock.patch.object(simulate, "_WALK_CAP", 40), \
             mock.patch.object(simulate, "replicate_zn", capped):
         run_cleanly(argv)
+
+
+def _valid_range(raw):
+    ends = raw.split(":")
+    return len(ends) == 2 and 0.0 < float(ends[0]) <= float(ends[1]) < np.inf
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(phase_grid_argv())
+def test_phase_grid_exits_cleanly(argv):
+    # a run exits 0 exactly when every input is valid, with grid^2 rows;
+    # otherwise it exits 2 naming the first bad flag
+    rc, out, err = run_cleanly(argv)
+    m, lam, mu, grid = (arg.split("=", 1)[1] for arg in argv[1:])
+    grid = int(grid)
+    bad = next((flag for flag, ok in (
+        ("--grid", grid >= 1), ("--lambda-range", _valid_range(lam)),
+        ("--mu-range", _valid_range(mu))) if not ok), None)
+    if bad is None:
+        assert rc in (0, 2), argv
+        if rc == 0:
+            assert len(out.splitlines()) == 2 + grid * grid
+        else:                       # only the litter mean is left to reject
+            assert not 0.0 < float(m) < np.inf and "'m'" in err, (argv, err)
+    else:
+        assert rc == 2 and bad in err, (argv, err)
