@@ -227,27 +227,34 @@ def evolve(triplet: LFTriplet, n: int) -> GenerationLaw:
 def survival_prob(triplet: LFTriplet, x, n: int) -> float:
     """P_x(Z_n > 0) = M^n(x, E)/(1 + m_n), stable far beyond float overflow.
 
-    No step runs once per generation. Every stored quantity is rescaled by
-    exact powers of two, with the exponent carried as a Python int, so growth
-    rho^n or a huge m never overflows.
+    Every stored quantity is rescaled by exact powers of two, with the
+    exponent carried as a Python int, so growth rho^n or a huge m never
+    overflows.
 
     Finite family: the state [M^k 1; sum_{j<k} gamma M^j 1] is advanced by
     the nonnegative (d+1)-matrix A = [[M, 0], [gamma, 1]]. A^L, L the largest
     power of two with L d <= n, is built by squaring and applied n // L
     times, and the remainder by the squares that its bits name. Cost
     O(d^2 n/L + d^3 log L): plain stepping for n < 2d, binary powering for
-    n >> d.
+    n >> d. A power is squared only while, scaled to unit row sums, it has
+    no nonzero entry below 2^-500, so that no entry the answer needs
+    underflows. A reducible M with a huge m (K entries near 1 against
+    m = 1e300) can stop L at 1 and step once per generation.
 
     Exponential family: M^n(x, E) = c_n e^{-nx} + m sum_i c_i e^{-ix} g_{n-i}
     with g the renewal solution for a = m d and b = d. c stops at its first
-    underflow, a and b lose their trailing zeros (p = 140..220 nonzero a_k
-    for lambda in (0.3, 3)), and g is solved L <= 64 entries at a time by
-    one L x p operator. Only the last max(p, q) entries of g and their sum
-    are kept. Cost O(n (p + L)).
+    underflow. g is solved as u_j = g_j 2^(-s j), with s chosen so that the
+    lags a_k 2^(-s k) sum below 8 (s = 0 unless m sum(d) >= 8), which keeps
+    the block operators below 2^195 for any m. The lags lose their trailing
+    zeros (p = 140..220 nonzero a_k for lambda in (0.3, 3) at s = 0), and u
+    is solved L <= 64 entries at a time by one L x p operator. Only the last
+    max(p, q) entries of u and their weighted sum are kept. Cost
+    O(n (p + L)).
 
     Both kernels agree with the generation-by-generation loops they replaced
     to a relative 1e-11 wherever the loop's value exceeds 1e-280 (worst seen
-    1.9e-13 finite, 1.4e-13 exp), and with 40-digit mpmath to 1e-12.
+    2.3e-13 finite, 6.1e-14 exp up to m = 1e300), and with 40-digit mpmath
+    to 1e-12.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -273,9 +280,11 @@ def _pow2_normalized(v: np.ndarray, big: float) -> tuple[np.ndarray, int]:
 def _finite_survival(t: FiniteTriplet, x: int, n: int) -> float:
     d, K, gam = t.d, t.K, t.gamma_vector
     top = max(0, (n // d).bit_length() - 1)     # L = 2^top, L d <= n
-    # powers[i] = (A^(2^i) / 2^e, e); each power is scaled to row sums in
-    # [1/2, 1] before it is squared, so no product overflows
-    powers = [None]
+    # powers[i] = (A^(2^i) / 2^e, e). A power is squared only if scaling its
+    # row sums into [1/2, 1] leaves every nonzero entry above 2^-500: then no
+    # product term underflows and the square keeps every entry it should.
+    # Otherwise L stops at that power.
+    powers = []
     if top:
         # A = [[M, 0], [gamma, 1]], M = K + m (K 1) gamma^T built in place
         A = np.zeros((d + 1, d + 1))
@@ -286,22 +295,26 @@ def _finite_survival(t: FiniteTriplet, x: int, n: int) -> float:
         A[d, :d] = gam
         A[d, d] = 1.0
         powers = [(A, 0)]
+        P, e = A, 0
         for _ in range(top):
-            P, e = powers[-1]
             P, k = _pow2_normalized(P, float(P.sum(axis=1).max()))
-            powers[-1] = (P, e + k)
-            powers.append((P @ P, 2 * (e + k)))
+            if P[P > 0].min() < 2.0 ** -500:
+                break
+            P, e = P @ P, 2 * (e + k)
+            powers.append((P, e))
+        top = len(powers) - 1
     mk = t.m * t.K_row_mass
     r = n % (1 << top)
     s = np.ones(d + 1)
     s[d] = 0.0
     E = 0                               # the state is s * 2^E
     for i in [top] * (n >> top) + [i for i in range(top) if r >> i & 1]:
-        if i:
+        if powers:
             P, e = powers[i]
             s = P @ s
         else:
-            # one generation without forming A: M w = K w + m (K 1)(gamma w)
+            # n < 2d: one generation as M w = K w + m (K 1)(gamma w), since
+            # building A costs about 25 steps at d = 500
             gw = float(gam @ s[:d])
             s, e = np.append(K @ s[:d] + mk * gw, s[d] + gw), 0
         s, k = _pow2_normalized(s, float(s.max()))
@@ -316,40 +329,53 @@ def _exp_survival(t: ExpFamilyTriplet, x: float, n: int) -> float:
     # c, d and a are nonincreasing, so their nonzero entries lead
     c = c[:np.count_nonzero(c)]                 # c_0..c_q, q <= n
     q = c.size - 1
-    d = c * t.mu / (t.mu + np.arange(q + 1))    # as d_sequence
+    d = t.d_from_c(c)
     b = d[:n][:np.count_nonzero(d[:n])]
-    a = t.m * b[1:]
+    # solve for u_j = g_j 2^(-s j), whose lags a_k 2^(-s k) sum below 8, so
+    # the block operators stay below 2^195 however large m is (s = 0 unless
+    # m sum(d) >= 8)
+    s = max(0, _exp2(t.m) + _exp2(float(b[1:].sum())) - 3)
+    a = np.ldexp(t.m * b[1:], -s * np.arange(1, b.size))
     a = a[:np.count_nonzero(a)]                 # a_1..a_p
     p = a.size
     L, G, Tinv = _renewal_blocks(a, n)
-    # block j0 is g_{j0..j0+L-1} = Tinv b_{j0..} + G (g_{j0-p}..g_{j0-1}).
-    # The running sum of g bounds every entry, so while it stays below
-    # 2^(512 - eB) no block overflows, and neither does m times the sum.
+    # macc gains m u_i 2^(-s (ell - i)) from entry i of a block of ell
+    mw = t.m * np.ldexp(1.0, s * (np.arange(L) - L))
+    # block j0 is u_{j0..j0+L-1} = Tinv b'_{j0..} + G (u_{j0-p}..u_{j0-1}),
+    # b'_j = b_j 2^(-s j). While every stored entry and macc stay below
+    # 2^(512 - eB), neither a block nor macc's next terms overflow, and
+    # while one of them stays above bottom, nothing needed underflows.
     eB = max(0, _exp2(float(G.sum(axis=1).max(initial=0.0))),
-             _exp2(float(Tinv[-1].sum())), _exp2(t.m))
+             _exp2(float(Tinv[-1].sum())), _exp2(float(mw[-1])))
     top = math.ldexp(1.0, 512 - eB)
+    low = min(0, 512 - eB)              # a rescale leaves them near 2^low
+    bottom = math.ldexp(1.0, low - 512)
     W = max(p, q)
-    win = np.zeros(W)                   # the last W entries of g, scaled
-    acc = 0.0                           # the sum of all of them, same scale
+    win = np.zeros(W)                   # the last W entries of u, scaled
+    macc = 0.0                          # m sum_{j<J} u_j 2^(s (j - J)), same scale
     E = 0                               # the scale is 2^-E
     for j in range(0, n, L):
         ell = min(L, n - j)
         new = G[:ell] @ win[W - p:]
         if j < b.size:
             seg = b[j: j + ell]
-            new += (Tinv[:ell, :seg.size] @ seg) * math.ldexp(1.0, -E)
-        acc += float(new.sum())
+            seg = np.ldexp(seg, -s * np.arange(j, j + seg.size) - E)
+            new += Tinv[:ell, :seg.size] @ seg
+        macc = math.ldexp(macc, -s * ell) + float(new @ mw[L - ell:])
         win = np.concatenate((win, new))[-W:]
-        if acc > top:
-            # back below min(1, top), as ``renewal`` brings its entries below 1
-            k = _exp2(acc) - min(0, 512 - eB)
+        big = max(macc, float(win.max()))
+        if not bottom <= big <= top:
+            k = _exp2(big) - low
             win = np.ldexp(win, -k)
-            acc = math.ldexp(acc, -k)
+            macc = math.ldexp(macc, -k)
             E += k
-    scale = math.ldexp(1.0, -E)
+    # M^n(x, E) = c_n e^{-nx} + m sum_i c_i e^{-ix} g_{n-i} over
+    # 1 + m sum_{j<n} g_j, both divided by 2^(s n + E)
+    scale = math.ldexp(1.0, -s * n - E)
     e = c * np.exp(-np.arange(q + 1) * x)
-    mn_mass = (e[n] * scale if q == n else 0.0) + t.m * float(e[1:] @ win[::-1][:q])
-    return float(mn_mass / (scale + t.m * acc))
+    mn_mass = (e[n] * scale if q == n else 0.0) + t.m * float(
+        np.ldexp(e[1:], -s * np.arange(1, q + 1)) @ win[::-1][:q])
+    return float(mn_mass / (scale + macc))
 
 
 def _renewal_blocks(a: np.ndarray, n: int) -> tuple[int, np.ndarray, np.ndarray]:
@@ -357,23 +383,18 @@ def _renewal_blocks(a: np.ndarray, n: int) -> tuple[int, np.ndarray, np.ndarray]
 
     Tinv = T_L^{-1} is the lower-triangular Toeplitz inverse of I - (a's lags)
     on one block, from ``renewal(a[:L-1], [1], L-1)``; G = Tinv H, where
-    H maps the previous p entries into the block. L starts at the power of
-    two nearest sqrt(n), at most 64, which balances the L steps of
-    ``renewal`` against the n/L blocks, and halves until Tinv needs no
-    rescaling and both operators stay below 2^256.
+    H maps the previous p entries into the block. L is the power of two
+    nearest sqrt(n), at most 64, which balances the L steps of ``renewal``
+    against the n/L blocks. With a summing below 8, Tinv stays below
+    8^L <= 2^192 and G below 2^195, so ``renewal`` never rescales.
     """
     L = min(64, 1 << ((n - 1).bit_length() + 1) // 2)
-    while True:
-        h, scale = renewal(a[: L - 1], [1.0], L - 1)
-        # Tinv[i, j] = h_{i-j} and H[i, col] = a_{i+p-col} (col = 0..p-1
-        # standing for c_{j0-p+col}), both zero where the lag leaves range
-        Tinv = sliding_window_view(np.concatenate((h[::-1], np.zeros(L - 1))), L)[::-1]
-        H = sliding_window_view(np.concatenate((np.zeros(L - 1), a[::-1])), a.size)[::-1]
-        G = Tinv @ H
-        if L == 1 or (scale == 1.0 and max(float(h.sum()), float(
-                G.sum(axis=1).max(initial=0.0))) < 2.0 ** 256):
-            return L, G, Tinv
-        L //= 2
+    h, _ = renewal(a[: L - 1], [1.0], L - 1)
+    # Tinv[i, j] = h_{i-j} and H[i, col] = a_{i+p-col} (col = 0..p-1
+    # standing for c_{j0-p+col}), both zero where the lag leaves range
+    Tinv = sliding_window_view(np.concatenate((h[::-1], np.zeros(L - 1))), L)[::-1]
+    H = sliding_window_view(np.concatenate((np.zeros(L - 1), a[::-1])), a.size)[::-1]
+    return L, Tinv @ H, Tinv
 
 
 def gen_functional(triplet: LFTriplet, x, n: int, h, breaks=()) -> float:

@@ -171,9 +171,11 @@ class ExpFamilyTriplet(LFTriplet):
 
     def d_sequence(self, n: int) -> np.ndarray:
         """d_j = c_j * mu / (mu + j): life-length weights of the exponential family."""
-        c = self.c_sequence(n)
-        j = np.arange(n + 1)
-        return c * self.mu / (self.mu + j)
+        return self.d_from_c(self.c_sequence(n))
+
+    def d_from_c(self, c: np.ndarray) -> np.ndarray:
+        """d_0..d_q from c_0..c_q, as in ``d_sequence``."""
+        return c * self.mu / (self.mu + np.arange(c.size))
 
     def sample_gamma(self, rng, size: int) -> np.ndarray:
         """``size`` i.i.d. Exp(mu) types."""

@@ -58,10 +58,33 @@ def test_finite_kernel_matches_the_loop(t):
             _check(survival_prob(t, x, n), survival_prob_loop(t, x, n), (n, x))
 
 
+@pytest.mark.parametrize("m", [1e160, 1e300])
+def test_finite_kernel_on_a_reducible_triplet_with_huge_m(m):
+    # M's restart column is ~m while K's own entry is 0.9, so A scaled to unit
+    # row sums holds entries near 0.9/m whose squares underflow; the answer
+    # depends on them (0.9^n at x = 1)
+    t = make_finite_triplet([[0.0, 0.0], [0.0, 0.9]], [1.0, 0.0], m)
+    for n in (4, 30, 3000):
+        for x in range(2):
+            _check(survival_prob(t, x, n), survival_prob_loop(t, x, n), (n, x))
+        assert survival_prob(t, 0, n) == 0.0
+
+
 @pytest.mark.parametrize("t,x", list(_exp_triplets()))
 def test_exp_kernel_matches_the_loop(t, x):
     for n in EXP_N:
         _check(survival_prob(t, x, n), survival_prob_loop(t, x, n), n)
+
+
+@pytest.mark.parametrize("m", [30.0, 1e30, 1e300])
+def test_exp_kernel_with_huge_m(m):
+    # m sum(d) >= 8 here, so g is solved as u_j = g_j 2^(-s j) with s > 0
+    for lam, mu in ((1.0, 1.0), (0.3, 2.9), (2.9, 0.3)):
+        t = make_exp_triplet(lam, mu, m)
+        for n in EXP_N:
+            for x in (0.05, 0.8, 3.0):
+                want = survival_prob_loop(t, x, n)
+                _check(survival_prob(t, x, n), want, (lam, mu, n, x))
 
 
 def test_critical_scalar_at_a_billion_generations():
