@@ -33,7 +33,6 @@ import math
 from functools import cached_property, lru_cache
 
 import numpy as np
-from scipy.special import gammainc
 
 _TAIL = 1e-18           # mass outside a law's last phase at which the chain stops
 _MAX_ENTRIES = 1 << 22  # jump-chain steps times laws kept in memory (64 MB)
@@ -141,6 +140,7 @@ class Uniformized:
         x, J = self.q * t, len(seq)
         out = _poisson_sum(x, seq)
         if len(self._rates) and x + 9.0 * math.sqrt(x) + 20.0 >= J:
+            from scipy.special import gammainc
             p = gammainc(J, (1.0 - self._rates / self.q) * x)
             out += float(self._coef * scale @ (p * np.exp(self._log_tail - self._rates * t)))
         return out

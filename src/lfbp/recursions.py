@@ -9,6 +9,8 @@ probability vector a.
 A supercritical sequence grows like rho^j, so when an entry passes
 2^512 / max(1, sum |a|) the solver multiplies the prefix and a running scale
 by the power of two that brings it below 1; the next step cannot overflow.
+When sum |a| itself overflows, len(a) 2^e bounds it (max |a| < 2^e): the
+bound is then 2^1022 / (len(a) 2^e) < 1, and rescaled entries land below it.
 Multiplying by a power of two is exact in binary floating point, so every
 product and sum is the unscaled one times scale, rounded the same way: while
 scale is a normal float, c is bit for bit scale times the unbounded result.
@@ -34,7 +36,11 @@ def renewal(a, b, n: int) -> tuple[np.ndarray, float]:
     a = np.asarray(a, dtype=float)[::-1].copy()[::-1]
     b = np.asarray(b, dtype=float)[: n + 1].tolist()
     p, q = len(a), len(b)
-    top = SCALE_TOP / max(1.0, float(np.abs(a).sum()))
+    unit = 1.0                          # rescaled entries land below this
+    with np.errstate(over="ignore"):
+        top = SCALE_TOP / max(1.0, float(np.abs(a).sum()))
+    if top == 0.0:      # sum |a| overflowed; it is below len(a) 2^e for max |a| < 2^e
+        top = unit = math.ldexp(1.0, 1022 - math.frexp(np.abs(a).max())[1] - p.bit_length())
     rev = np.zeros(n + 1)               # rev[n - j] = c_j
     scale = 1.0
     for j in range(n + 1):
@@ -44,7 +50,7 @@ def renewal(a, b, n: int) -> tuple[np.ndarray, float]:
         if j < q:
             v += b[j] * scale
         if abs(v) > top:
-            f = math.ldexp(1.0, -math.frexp(v)[1])
+            f = math.ldexp(unit, -math.frexp(v)[1])
             rev[i:] *= f
             v *= f
             scale *= f

@@ -25,7 +25,6 @@ worker count.
 
 from __future__ import annotations
 
-import concurrent.futures
 from dataclasses import dataclass
 
 import numpy as np
@@ -353,6 +352,7 @@ def replicate_map(make, args: tuple, reps: int, seed: int,
     blocks = -(-reps // BLOCK)
     if workers <= 1 or blocks < 4 * workers:
         return _map_chunk(make, args, seed, reps, 0, blocks)
+    import concurrent.futures
     bounds = np.linspace(0, blocks, workers + 1, dtype=int)
     with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
         futs = [pool.submit(_map_chunk, make, args, seed, reps, int(lo), int(hi))

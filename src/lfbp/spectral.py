@@ -157,7 +157,7 @@ class LifeLengthLaw:
     def tails(self, n: int) -> np.ndarray:
         """d_0..d_n."""
         if n >= len(self._d):
-            self._d = self.triplet.d_sequence(max(n, 64, 2 * len(self._d)))
+            self._d = self.triplet.d_sequence(max(n, 2 * len(self._d)))
         return self._d[: n + 1]
 
     def pmf(self, n: int) -> float:

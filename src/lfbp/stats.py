@@ -31,7 +31,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import special
 
 from .errors import RegimeError
 from .evolution import evolve, survival_prob
@@ -55,6 +54,7 @@ REPORT_SCHEMA = "lfbp.limit-report/1"
 
 def _ks_pvalue(d: float, en: float) -> float:
     # asymptotic Kolmogorov tail with the small-sample correction factor
+    from scipy import special
     return float(special.kolmogorov((en + 0.12 + 0.11 / en) * d))
 
 
@@ -115,6 +115,7 @@ def chi_square_geometric(values, m_n: float) -> tuple[float, int, float]:
     exp = np.asarray(expected)
     stat = float(np.sum((obs - exp) ** 2 / exp))
     dof = len(exp) - 1
+    from scipy import special
     return stat, dof, float(special.chdtrc(dof, stat))
 
 

@@ -7,11 +7,15 @@ Seeds and sizes below were fixed before the first run.
 """
 
 import math
+import sys
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from lfbp.evolution import survival_prob
+from lfbp.recursions import renewal
 from lfbp.spectral import LifeLengthLaw
 from lfbp.typespace import make_exp_triplet, make_finite_triplet
 from oracles import survival_prob_loop
@@ -99,3 +103,33 @@ def test_deep_exp_survival_reaches_its_limit():
     deep = survival_prob(t, 1.0, 100_000)
     assert 0.0 < deep < 1.0
     assert math.isclose(deep, survival_prob(t, 1.0, 20_000), rel_tol=1e-12)
+
+
+def _exact_exp_survival(t, x, n):
+    """The loop's exp-family formula in exact rationals on the same floats."""
+    d = [Fraction(v) for v in t.d_sequence(n)]
+    a = [Fraction(t.m) * v for v in d[1:]]
+    g = []
+    for j in range(n):
+        g.append(d[j] + sum(a[k - 1] * g[j - k] for k in range(1, j + 1)))
+    e = [Fraction(v) for v in t.c_sequence(n) * np.exp(-np.arange(n + 1) * x)]
+    mn_mass = e[n] + Fraction(t.m) * sum(e[i] * g[n - i] for i in range(1, n + 1))
+    return g, float(mn_mass / (1 + Fraction(t.m) * sum(g)))
+
+
+@pytest.mark.parametrize("lam,mu", [(3.0, 3.0), (10.0, 10.0), (30.0, 30.0)])
+def test_renewal_with_lags_whose_sum_overflows(lam, mu):
+    # at m = 1.7e308 the lags m d_1..m d_{n-1} sum past the float range; the
+    # rescale bound then comes from the exponent of the largest lag, and no
+    # step may overflow or warn
+    t = make_exp_triplet(lam, mu, 1.7e308)
+    for n in (5, 12, 40):
+        a, d = t.m * t.d_sequence(n)[1:n], t.d_sequence(n)[:n]
+        assert sum(map(Fraction, a)) > sys.float_info.max
+        want_g, want = _exact_exp_survival(t, 0.8, n)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            g, _ = renewal(a, d, n - 1)
+            _check(survival_prob_loop(t, 0.8, n), want, n)
+        assert np.all(np.isfinite(g)) and 0.0 < g[-1] <= 1.0
+        _check(g[-2] / g[-1], float(want_g[-2] / want_g[-1]), n)
