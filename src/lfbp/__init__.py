@@ -13,12 +13,8 @@ laws), ``simulate`` (direct / embedded-population / contour samplers),
 ``stats`` (renewal utility, limit verifiers, test statistics), ``cli``.
 """
 
-from importlib import metadata as _metadata
-
-try:
-    __version__ = _metadata.version("lfbp")
-except _metadata.PackageNotFoundError:  # running from a source tree
-    __version__ = "0.1.0"
+# the one source of the version: pyproject.toml reads it from here
+__version__ = "0.1.0"
 
 from .errors import (PopulationCapError, QuadratureError, RegimeError,
                      TripletFormatError, WalkCapError)

@@ -1,10 +1,11 @@
-"""Command-line surface: classify, evolve, simulate, verify, export.
+"""Command-line surface: one subcommand per entry of COMMANDS below.
 
-Every report embeds the resolved configuration and the library version so a
-result file is self-describing. Stochastic commands require --seed. Every
-simulator runs replicates in blocks of simulate.BLOCK, block b on stream
-(seed, b), and the merge is deterministic, so output bytes do not depend on
---workers.
+Every report echoes the resolved configuration and the library version, so a
+result file says what produced it; a "finite" triplet document is echoed as
+its d, m and the SHA-256 of its bytes, which ``sha256sum`` gives for a file.
+Stochastic commands require --seed. Every simulator runs replicates in
+blocks of simulate.BLOCK, block b on stream (seed, b), and the merge is
+deterministic, so output bytes do not depend on --workers.
 
 CSV output uses '.' decimals, '\n' line endings, and a header row; a
 leading '#' comment line carries the configuration. JSON reports carry a
@@ -26,23 +27,26 @@ from .errors import (PopulationCapError, QuadratureError, RegimeError,
 from .typespace import (FAMILY_FINITE, LFTriplet, make_exp_triplet,
                         triplet_from_dict, triplet_to_dict)
 
-JSON_SCHEMA = "lfbp.report/1"
+JSON_SCHEMA = "lfbp.report/2"
 
 
 # ---------------------------------------------------------------------------
 # config plumbing
 # ---------------------------------------------------------------------------
 
-def parse_triplet(spec: str) -> LFTriplet:
-    """Inline JSON (starts with '{') or a path to a JSON file.
+def parse_triplet(spec: str) -> tuple[LFTriplet, dict]:
+    """The triplet that ``spec`` (inline JSON starting with '{', or a path to
+    a JSON file) names, and its echo for reports.
 
     ``{"family": "scalar", "k": ..., "m": ...}`` is accepted as sugar for
-    the one-state finite family.
+    the one-state finite family. Scalar and exp documents are echoed whole,
+    a "finite" one as d, m and the SHA-256 of the bytes read (UTF-8 inline).
     """
-    text = spec
-    if not spec.lstrip().startswith("{"):
+    if spec.lstrip().startswith("{"):
+        text = spec
+    else:
         try:
-            with open(spec, encoding="utf-8") as fh:
+            with open(spec, "rb") as fh:
                 text = fh.read()
         except OSError as exc:
             raise TripletFormatError("<path>", f"cannot read {spec!r}: {exc}")
@@ -50,13 +54,20 @@ def parse_triplet(spec: str) -> LFTriplet:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise TripletFormatError("<json>", f"invalid JSON: {exc}")
-    if isinstance(doc, dict) and doc.get("family") == "scalar":
+    family = doc.get("family") if isinstance(doc, dict) else None
+    if family == "scalar":
         for key in ("k", "m"):
             if key not in doc:
                 raise TripletFormatError(key, "missing required field")
         doc = {"family": "finite", "K": [[doc["k"]]], "gamma": [1.0],
                "m": doc["m"]}
-    return triplet_from_dict(doc)
+    triplet = triplet_from_dict(doc)
+    if family != FAMILY_FINITE:
+        return triplet, triplet_to_dict(triplet)
+    import hashlib                      # only finite documents are digested
+    raw = text if isinstance(text, bytes) else text.encode("utf-8", "surrogateescape")
+    return triplet, {"family": FAMILY_FINITE, "d": triplet.d, "m": triplet.m,
+                     "sha256": hashlib.sha256(raw).hexdigest()}
 
 
 def _parse_point(raw: str | None, triplet: LFTriplet, flag: str):
@@ -107,8 +118,8 @@ def _parse_list(raw: str, kind=float) -> list:
     return [kind(p) for p in raw.split(",") if p.strip() != ""]
 
 
-def _config(args, triplet=None, **extra) -> dict:
-    """Resolved configuration echoed into every report.
+def _config(args, echo=None, **extra) -> dict:
+    """Resolved configuration, with ``parse_triplet``'s echo, for every report.
 
     Deliberately excludes the worker count: it never influences results
     (streams are keyed by block or replicate, never by worker), so identical
@@ -119,8 +130,8 @@ def _config(args, triplet=None, **extra) -> dict:
                 "simulator", "start", "w"):
         if hasattr(args, key) and getattr(args, key) is not None:
             cfg[key] = getattr(args, key)
-    if triplet is not None:
-        cfg["triplet"] = triplet_to_dict(triplet)
+    if echo is not None:
+        cfg["triplet"] = echo
     cfg.update(extra)
     return cfg
 
@@ -159,9 +170,9 @@ def _cell(v) -> str:
 # ---------------------------------------------------------------------------
 
 def cmd_classify(args) -> int:
-    t = parse_triplet(args.triplet)
+    t, echo = parse_triplet(args.triplet)
     summary = spectral.classify(t)
-    report = {"schema": JSON_SCHEMA, "config": _config(args, t)}
+    report = {"schema": JSON_SCHEMA, "config": _config(args, echo)}
     report.update(summary.as_dict())
     _emit_json(report, args)
     return 0
@@ -189,22 +200,22 @@ def cmd_phase_grid(args) -> int:
 
 
 def cmd_survive(args) -> int:
-    t = parse_triplet(args.triplet)
+    t, echo = parse_triplet(args.triplet)
     x = _parse_point(args.x, t, "--x")
     p = evolution.survival_prob(t, x, args.n)
-    report = {"schema": JSON_SCHEMA, "config": _config(args, t),
+    report = {"schema": JSON_SCHEMA, "config": _config(args, echo),
               "n": args.n, "x": x, "survival": p}
     _emit_json(report, args)
     return 0
 
 
 def cmd_distribution(args) -> int:
-    t = parse_triplet(args.triplet)
+    t, echo = parse_triplet(args.triplet)
     x = _parse_point(args.x, t, "--x")
     law = evolution.evolve(t, args.n)
     functionals = {spec: law.functional(x, stats.probe(spec))
                    for spec in ("const:0.5", "tilt:1.0")}
-    report = {"schema": JSON_SCHEMA, "config": _config(args, t),
+    report = {"schema": JSON_SCHEMA, "config": _config(args, echo),
               "n": args.n, "x": x, "m_n": law.m_n,
               "survival": law.survival(x),
               "functionals": functionals,
@@ -214,14 +225,14 @@ def cmd_distribution(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    t = parse_triplet(args.triplet)
+    t, echo = parse_triplet(args.triplet)
     start = args.start
     if start != "gamma" and args.simulator == "bgw":
         start = _parse_point(start, t, "--start")
     zs = simulate.replicate_zn(t, args.n, args.reps, args.seed,
                                simulator=args.simulator, start=start,
                                workers=args.workers)
-    cfg = _config(args, t, block=simulate.BLOCK, discarded=zs.discarded)
+    cfg = _config(args, echo, block=simulate.BLOCK, discarded=zs.discarded)
     rows = []
     for i, z in enumerate(zs.raw):
         if z < 0:
@@ -233,7 +244,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    t = parse_triplet(args.triplet)
+    t, echo = parse_triplet(args.triplet)
     sims = list(simulate.SIMULATORS)
     samples = []
     discarded = {}
@@ -252,7 +263,7 @@ def cmd_crosscheck(args) -> int:
             d, p = stats.ks_two_sample(samples[i], samples[j])
             dmat[i][j] = dmat[j][i] = d
             pmat[i][j] = pmat[j][i] = p
-    report = {"schema": JSON_SCHEMA, "config": _config(args, t),
+    report = {"schema": JSON_SCHEMA, "config": _config(args, echo),
               "simulators": sims, "discarded": discarded,
               "ks_stat": dmat, "p_value": pmat,
               "min_p": min(pmat[i][j] for i in range(k)
@@ -269,19 +280,19 @@ def cmd_crosscheck(args) -> int:
 
 
 def cmd_limits(args) -> int:
-    t = parse_triplet(args.triplet)
+    t, echo = parse_triplet(args.triplet)
     x = _parse_point(args.x, t, "--x")
     grid = _parse_list(args.grid, int) if args.grid else None
     out = stats.limit_report(t, x, grid, args.tol or 1e-3, w=args.w or "const",
                              reps=args.reps, seed=args.seed,
                              workers=args.workers).as_dict()
-    out["config"] = _config(args, t)
+    out["config"] = _config(args, echo)
     _emit_json(out, args)
     return 0
 
 
 def cmd_yaglom(args) -> int:
-    t = parse_triplet(args.triplet)
+    t, echo = parse_triplet(args.triplet)
     summary = spectral.classify(t)
     if summary.criticality != spectral.CRITICAL:
         raise RegimeError(f"yaglom needs a critical triplet, got "
@@ -289,7 +300,7 @@ def cmd_yaglom(args) -> int:
     measured, rows = stats.yaglom_rows(t, summary, args.n, args.reps, args.seed,
                                        args.w or "const", args.workers)
     mean, ks = rows[0], rows[-1]
-    report = {"schema": JSON_SCHEMA, "config": _config(args, t),
+    report = {"schema": JSON_SCHEMA, "config": _config(args, echo),
               "n": args.n, "reps": args.reps, "conditioned": mean.sample_size,
               "survival_rate": mean.sample_size / args.reps,
               "mean": {"printed": 1.0 + t.m, "derived": mean.target,

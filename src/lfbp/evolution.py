@@ -243,18 +243,20 @@ def survival_prob(triplet: LFTriplet, x, n: int) -> float:
 
     Exponential family: M^n(x, E) = c_n e^{-nx} + m sum_i c_i e^{-ix} g_{n-i}
     with g the renewal solution for a = m d and b = d. c stops at its first
-    underflow. g is solved as u_j = g_j 2^(-s j), with s chosen so that the
-    lags a_k 2^(-s k) sum below 8 (s = 0 unless m sum(d) >= 8), which keeps
-    the block operators below 2^195 for any m. The lags lose their trailing
-    zeros (p = 140..220 nonzero a_k for lambda in (0.3, 3) at s = 0), and u
-    is solved L <= 64 entries at a time by one L x p operator. Only the last
-    max(p, q) entries of u and their weighted sum are kept. Cost
-    O(n (p + L)).
+    underflow. g is solved as u_j = g_j 2^(-s j): s = 0 while m sum(d) < 8,
+    and otherwise 2^s is the power of two nearest g's growth rate, so u
+    grows or falls by at most sqrt(2) per step. The block operators then
+    stay below 2^195 for any m. The lags lose their trailing zeros
+    (p = 140..220 nonzero a_k for lambda in (0.3, 3) at s = 0), and u is
+    solved L <= 64 entries at a time by one L x p operator. Only the last
+    max(p, q') entries of u and their weighted sum are kept, q' <= q being
+    the last i whose weight c_i 2^(-s (i-1)) is nonzero. Cost O(n (p + L)).
+    A value that float64 cannot resolve raises a ValueError naming m and n.
 
     Both kernels agree with the generation-by-generation loops they replaced
     to a relative 1e-11 wherever the loop's value exceeds 1e-280 (worst seen
-    2.3e-13 finite, 6.1e-14 exp up to m = 1e300), and with 40-digit mpmath
-    to 1e-12.
+    2.3e-13 finite; exp 1.1e-13 over lambda in 0.3..5000, m up to 1.7e308
+    and n up to 3000), and with 40-digit mpmath to 1e-12.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -331,16 +333,16 @@ def _exp_survival(t: ExpFamilyTriplet, x: float, n: int) -> float:
     q = c.size - 1
     d = t.d_from_c(c)
     b = d[:n][:np.count_nonzero(d[:n])]
-    # solve for u_j = g_j 2^(-s j), whose lags a_k 2^(-s k) sum below 8, so
-    # the block operators stay below 2^195 however large m is (s = 0 unless
-    # m sum(d) >= 8)
-    s = max(0, _exp2(t.m) + _exp2(float(b[1:].sum())) - 3)
+    # solve for u_j = g_j 2^(-s j): s = 0 while the lags m d_1..m d_q sum
+    # below 8, else 2^s is the power of two nearest g's growth rate. Either
+    # way the block operators stay below 2^195 however large m is.
+    s = 0 if t.m * float(d[1:].sum()) < 8.0 else _exp_shift(t.m, d[1:])
     a = np.ldexp(t.m * b[1:], -s * np.arange(1, b.size))
     a = a[:np.count_nonzero(a)]                 # a_1..a_p
     p = a.size
     L, G, Tinv = _renewal_blocks(a, n)
     # macc gains m u_i 2^(-s (ell - i)) from entry i of a block of ell
-    mw = t.m * np.ldexp(1.0, s * (np.arange(L) - L))
+    mw = np.ldexp(t.m, s * (np.arange(L) - L))
     # block j0 is u_{j0..j0+L-1} = Tinv b'_{j0..} + G (u_{j0-p}..u_{j0-1}),
     # b'_j = b_j 2^(-s j). While every stored entry and macc stay below
     # 2^(512 - eB), neither a block nor macc's next terms overflow, and
@@ -350,7 +352,11 @@ def _exp_survival(t: ExpFamilyTriplet, x: float, n: int) -> float:
     top = math.ldexp(1.0, 512 - eB)
     low = min(0, 512 - eB)              # a rescale leaves them near 2^low
     bottom = math.ldexp(1.0, low - 512)
-    W = max(p, q)
+    # u_{n-i} enters M^n(x, E) with weight m 2^-s w_i, w_i = e_i 2^(-s (i-1))
+    # and e_i = c_i e^{-ix}; it is kept while i <= p or c_i 2^(-s (i-1)) > 0
+    e = c * np.exp(-np.arange(q + 1) * x)
+    W = max(p, np.count_nonzero(np.ldexp(c[1:], -s * np.arange(q))))
+    w = np.ldexp(e[1:W + 1], -s * np.arange(W))
     win = np.zeros(W)                   # the last W entries of u, scaled
     macc = 0.0                          # m sum_{j<J} u_j 2^(s (j - J)), same scale
     E = 0                               # the scale is 2^-E
@@ -372,10 +378,34 @@ def _exp_survival(t: ExpFamilyTriplet, x: float, n: int) -> float:
     # M^n(x, E) = c_n e^{-nx} + m sum_i c_i e^{-ix} g_{n-i} over
     # 1 + m sum_{j<n} g_j, both divided by 2^(s n + E)
     scale = math.ldexp(1.0, -s * n - E)
-    e = c * np.exp(-np.arange(q + 1) * x)
-    mn_mass = (e[n] * scale if q == n else 0.0) + t.m * float(
-        np.ldexp(e[1:], -s * np.arange(1, q + 1)) @ win[::-1][:q])
-    return float(mn_mass / (scale + macc))
+    mn_mass = (e[n] * scale if q == n else 0.0) + math.ldexp(t.m, -s) * float(
+        w @ win[::-1])
+    den = scale + macc
+    out = float(mn_mass) / den if den > 0.0 else math.nan
+    # with s > 0 the window spans at most 2^(W/2), so a newest u below the
+    # normal range means the kernel lost it
+    if not math.isfinite(out) or (s and not win[-1] >= 2.0 ** -1022):
+        raise ValueError(f"m = {t.m!r}, n = {n}: float64 cannot resolve "
+                         f"P(Z_n > 0) for this exp triplet")
+    return out
+
+
+def _exp_shift(m: float, lags: np.ndarray) -> int:
+    """The s nearest -log2 r, where sum_k m lags_k r^k = 1 (k from 1): j // 2
+    for the least j with sum_k m lags_k 2^(-k j/2) <= 1, found by bisection.
+    Hence sum_k m lags_k 2^(-k s) 2^(-k/2) <= 1, and u changes by <= sqrt(2)
+    per step."""
+    k = np.arange(lags.size)                    # k - 1 for lags_k
+
+    def lag_sum(j):                             # overflow-free at any j
+        h, r = j // 2, math.sqrt(0.5) ** (j % 2)
+        return math.ldexp(m * r, -h) * float((np.ldexp(lags, -h * k) * r ** k).sum())
+
+    lo, hi = 0, 2 * (_exp2(m) + _exp2(float(lags.sum())))   # lag_sum(hi) < 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if lag_sum(mid) <= 1.0 else (mid, hi)
+    return hi // 2
 
 
 def _renewal_blocks(a: np.ndarray, n: int) -> tuple[int, np.ndarray, np.ndarray]:

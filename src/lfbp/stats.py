@@ -45,7 +45,7 @@ KS_MIN = 100          # below this a KS p-value is not worth reporting
 YAGLOM_MIN = 500      # conditioned-sample floor for a Yaglom verdict
 _CONV_REL = 1e-3       # three successive grid values within this = converged
 
-REPORT_SCHEMA = "lfbp.limit-report/1"
+REPORT_SCHEMA = "lfbp.limit-report/2"
 
 
 # ---------------------------------------------------------------------------

@@ -1,13 +1,14 @@
 """End-to-end CLI behavior through main(argv), no subprocesses."""
 
+import hashlib
 import json
 import math
 
 import numpy as np
 import pytest
 
-from lfbp import __version__, simulate
-from lfbp.cli import main
+from lfbp import __version__, simulate, stats
+from lfbp.cli import JSON_SCHEMA, main
 from lfbp.stats import conditioned_scaled_sample
 from lfbp.typespace import triplet_from_dict
 
@@ -57,6 +58,70 @@ def test_classify_triplet_from_file(tmp_path, capsys):
     assert rep["criticality"] == "supercritical"
 
 
+# -- report echoes --------------------------------------------------------------
+
+FINITE_DOC = ('{"family": "finite", "K": [[0.2, 0.3], [0.4, 0.1]], '
+              '"gamma": [0.5, 0.5], "m": 1.5}')
+
+
+def _digest(raw: bytes) -> str:
+    return hashlib.sha256(raw).hexdigest()
+
+
+def test_schema_strings(capsys):
+    assert JSON_SCHEMA == "lfbp.report/2"
+    assert stats.REPORT_SCHEMA == "lfbp.limit-report/2"
+    assert run_json(capsys, ["classify", "--triplet", SCALAR_SUB])["schema"] == JSON_SCHEMA
+
+
+def test_inline_finite_document_echoes_its_digest(capsys):
+    rep = run_json(capsys, ["classify", "--triplet", FINITE_DOC])
+    assert rep["config"]["triplet"] == {"family": "finite", "d": 2, "m": 1.5,
+                                        "sha256": _digest(FINITE_DOC.encode())}
+
+
+def test_finite_file_digest_covers_its_bytes_as_read(tmp_path, capsys):
+    # CRLF line endings: a text-mode read would digest LF bytes instead
+    p = tmp_path / "t.json"
+    p.write_bytes(b'{"family": "finite",\r\n "K": [[0.2, 0.3], [0.4, 0.1]],\r\n'
+                  b' "gamma": [0.5, 0.5], "m": 1.5}\r\n')
+    rep = run_json(capsys, ["survive", "--triplet", str(p), "--n", "4"])
+    assert rep["config"]["triplet"]["sha256"] == _digest(p.read_bytes())
+
+
+def test_scalar_and_exp_echoes_are_whole(capsys):
+    rep = run_json(capsys, ["classify", "--triplet", SCALAR_CRIT])
+    assert rep["config"]["triplet"] == {"family": "finite", "K": [[0.5]],
+                                        "gamma": [1.0], "m": 1.0}
+    rep = run_json(capsys, ["classify", "--triplet", EXP_TRIPLET])
+    assert rep["config"]["triplet"] == {"family": "exp", "lambda": 1.0,
+                                        "mu": 1.0, "m": 2.0}
+
+
+@pytest.mark.parametrize("argv", [
+    ["simulate", "--n", "3", "--reps", "5", "--seed", "1"],
+    ["crosscheck", "--n", "3", "--reps", "200", "--seed", "1", "--format", "csv"]])
+def test_csv_config_line_echoes_the_finite_digest(argv, capsys):
+    assert main(argv + ["--triplet", FINITE_DOC]) == 0
+    first = capsys.readouterr().out.splitlines()[0]
+    assert first.startswith("# config ")
+    cfg = json.loads(first[len("# config "):])
+    assert cfg["triplet"] == {"family": "finite", "d": 2, "m": 1.5,
+                              "sha256": _digest(FINITE_DOC.encode())}
+
+
+def test_a_64_type_report_stays_small(capsys):
+    rng = np.random.default_rng(64)
+    K = rng.random((64, 64))
+    K *= 0.9 / K.sum(axis=1, keepdims=True)
+    doc = json.dumps({"family": "finite", "K": K.tolist(),
+                      "gamma": (np.ones(64) / 64).tolist(), "m": 0.5})
+    assert main(["classify", "--triplet", doc]) == 0
+    out = capsys.readouterr().out
+    assert len(doc) > 70_000 and len(out.encode()) < 1024
+    assert json.loads(out)["config"]["triplet"]["d"] == 64
+
+
 # -- exact laws -----------------------------------------------------------------
 
 
@@ -65,6 +130,13 @@ def test_survive_critical_scalar(capsys):
     assert abs(rep["survival"] - 1.0 / 11.0) < 1e-12
     assert f'{rep["survival"]:.6f}' == "0.090909"
     assert rep["x"] == 0 and rep["n"] == 10
+
+
+@pytest.mark.parametrize("lam,m,n", [(1000, 1e308, 300), (30, 1e300, 200)])
+def test_long_lived_exp_survival_at_huge_m(lam, m, n, capsys):
+    doc = json.dumps({"family": "exp", "lambda": lam, "mu": lam, "m": m})
+    rep = run_json(capsys, ["survive", "--triplet", doc, "--n", str(n)])
+    assert abs(rep["survival"] - math.exp(-1.0)) < 1e-15
 
 
 def test_huge_m_survives_and_overflowing_distribution_exits_2(capsys):
@@ -135,7 +207,7 @@ def test_crosscheck_diagonal_and_agreement(capsys):
 
 def test_limits_report_schema(capsys):
     rep = run_json(capsys, ["limits", "--triplet", SCALAR_SUB])
-    assert rep["schema"] == "lfbp.limit-report/1"
+    assert rep["schema"] == "lfbp.limit-report/2"
     assert rep["regime"] == "subcritical"
     assert all(t["passed"] in (True, None) for t in rep["tests"])
     assert rep["config"]["command"] == "limits"

@@ -66,3 +66,12 @@ def test_cli_runs_without_mpmath_and_defers_scipy_integrate():
     lean = json.loads(lean_json)
     assert lean == {"import": [], "rcs": [0] * len(LEAN), "after": [],
                     "crosscheck": 0, "special": True}
+
+
+def test_import_skips_the_version_lookup_and_hashlib():
+    # __version__ is a literal, and only a finite echo needs a digest
+    out = subprocess.run([sys.executable, "-c", "import sys, lfbp.cli; print(sorted("
+                          "m for m in ('importlib.metadata', 'hashlib') if m in sys.modules))"],
+                         capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": SRC})
+    assert out.stdout.strip() == "[]"

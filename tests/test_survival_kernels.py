@@ -14,9 +14,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from lfbp.evolution import survival_prob
+from lfbp.evolution import _exp_shift, survival_prob
 from lfbp.recursions import renewal
-from lfbp.spectral import LifeLengthLaw
+from lfbp.spectral import LifeLengthLaw, solve_R
 from lfbp.typespace import make_exp_triplet, make_finite_triplet
 from oracles import survival_prob_loop
 
@@ -89,6 +89,34 @@ def test_exp_kernel_with_huge_m(m):
             for x in (0.05, 0.8, 3.0):
                 want = survival_prob_loop(t, x, n)
                 _check(survival_prob(t, x, n), want, (lam, mu, n, x))
+
+
+@pytest.mark.parametrize("lam", [10.0, 30.0, 100.0, 1000.0])
+def test_exp_kernel_on_long_lived_triplets_at_huge_m(lam):
+    # lambda * m is huge here, so g grows by ~m d_1 per step; a point
+    # passes by agreeing with the loop or by raising a ValueError
+    for m in (1e250, 1e300, 1.7e308):
+        t = make_exp_triplet(lam, lam, m)
+        for n in (50, 128, 200, 500):
+            for x in (0.05, 1.0, 3.0):
+                want = survival_prob_loop(t, x, n)
+                try:
+                    got = survival_prob(t, x, n)
+                except ValueError as exc:
+                    assert f"m = {m!r}, n = {n}" in str(exc)
+                    continue
+                assert want > FLOOR
+                _check(got, want, (lam, m, n, x))
+
+
+@pytest.mark.parametrize("lam,m", [(1.0, 30.0), (30.0, 1e250), (1000.0, 1e100),
+                                   (0.3, 1e6)])
+def test_exp_shift_is_the_power_of_two_nearest_the_growth(lam, m):
+    t = make_exp_triplet(lam, lam, m)
+    lags = t.d_sequence(4000)[1:]
+    lags = lags[:np.count_nonzero(lags)]
+    R = solve_R(LifeLengthLaw(t), m).R
+    assert abs(_exp_shift(m, lags) + math.log2(R)) <= 0.5 + 1e-9
 
 
 def test_critical_scalar_at_a_billion_generations():
