@@ -18,12 +18,10 @@ __version__ = "0.1.0"
 
 from .errors import (PopulationCapError, QuadratureError, RegimeError,
                      TripletFormatError, WalkCapError)
-from .evolution import (evolve, gen_functional, gen_functional_iterated,
-                        survival_prob)
+from .evolution import evolve, gen_functional, survival_prob
 from .simulate import (replicate_zn, simulate_bgw, simulate_cmj,
                        simulate_contour, simulate_typed_lineage)
-from .spectral import (classify, eigen_build, eigen_residuals, power_iteration,
-                       solve_R)
+from .spectral import classify, eigen_build, eigen_residuals, solve_R
 from .stats import (chi_square_geometric, ks_one_sample, ks_two_sample,
                     limit_critical, limit_report, limit_subcritical,
                     limit_supercritical, mc_mean_se, probe, renewal_sequence,
@@ -35,10 +33,10 @@ __all__ = [
     "__version__",
     "PopulationCapError", "QuadratureError", "RegimeError",
     "TripletFormatError", "WalkCapError",
-    "evolve", "gen_functional", "gen_functional_iterated", "survival_prob",
+    "evolve", "gen_functional", "survival_prob",
     "replicate_zn", "simulate_bgw", "simulate_cmj", "simulate_contour",
     "simulate_typed_lineage",
-    "classify", "eigen_build", "eigen_residuals", "power_iteration", "solve_R",
+    "classify", "eigen_build", "eigen_residuals", "solve_R",
     "chi_square_geometric", "ks_one_sample", "ks_two_sample",
     "limit_critical", "limit_report", "limit_subcritical",
     "limit_supercritical", "mc_mean_se", "probe", "renewal_sequence",

@@ -315,9 +315,15 @@ def cmd_yaglom(args) -> int:
 
 
 def cmd_renewal(args) -> int:
+    import warnings
     a = _parse_list(args.a)
     b = _parse_list(args.b)
-    r = stats.renewal_sequence(a, b, args.n, rel=args.tol or 1e-3)
+    # a warning goes to stderr as one plain line, without the source location
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        r = stats.renewal_sequence(a, b, args.n, rel=args.tol or 1e-3)
+    for w in caught:
+        print(f"lfbp renewal: warning: {w.message}", file=sys.stderr)
     if args.format == "csv":
         cfg = _config(args, None, a=a, b=b)
         rows = [(k, float(c)) for k, c in enumerate(r.c)]

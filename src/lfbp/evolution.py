@@ -11,7 +11,12 @@ so P_x(Z_n > 0) = K_n(x, E) = M^n(x, E)/(1+m_n) and, given survival, Z_n is
 1 + geometric(m_n) with the marked individual drawn from K_n(x, .)/K_n(x, E)
 and the others i.i.d. gamma_n.
 
-Finite family: gamma_n, M^n(x, .) and K_n(x, .) are ``VectorMeasure`` rows.
+Finite family: gamma_n, M^n(x, .) and K_n(x, .) are ``VectorMeasure`` rows
+read off A^n = [[M^n, 0], [S_n, 1]], A = [[M, 0], [gamma, 1]] and S_n =
+sum_{k<n} gamma M^k: m_n = m S_n 1 and gamma_n = S_n/(S_n 1). A^n comes
+from squaring with power-of-two scaling (``_augmented_power``, which
+``survival_prob`` shares), O(d^3 log n) unless its guard stops the squaring.
+
 Continuous family: G_k(.) = integral M^k(y, .) gamma(dy) splits exactly
 over the number r of marked steps since the last restart,
 
@@ -21,15 +26,20 @@ with h the renewal expansion of 1/(1 - m f(s)) (``recursions.renewal``) and
 Q_r/d_r the hypoexponential law Exp(mu+r) + chain(lambda, r). Collapsing
 over k, m_n = m sum_{r<n} H_{n-1-r} d_r with H_t = sum_{j<=t} h_j, and
 gamma_n is the ``MixtureMeasure`` sum_r W_r Q_r/d_r with W_r proportional to
-H_{n-1-r} d_r. M^n(x, .) adds the no-restart term
-c_n e^{-nx} Law(x + chain(lambda, n)) to the same components, and K_n(x, .)
-is the signed mixture over [chain at x, Q_0..Q_{n-1}], so sampling and
-integration stay exact instead of importance-weighted.
+H_{n-1-r} d_r. m_n costs one renewal solve; the n hypoexponential
+components of gamma_n are built only when something reads gamma_n, M^n or
+K_n. M^n(x, .) adds the no-restart term c_n e^{-nx} Law(x + chain(lambda, n))
+to the same components, and K_n(x, .) is the signed mixture over
+[chain at x, Q_0..Q_{n-1}], so sampling and integration stay exact instead
+of importance-weighted.
+
+Both families take P_x(Z_n > 0) from ``survival_prob``.
 """
 
 from __future__ import annotations
 
 import math
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -50,6 +60,7 @@ class GenerationLaw:
             raise ValueError("n must be >= 1")
         self.triplet = triplet
         self.n = n
+        self._survival: dict = {}
         if triplet.family == FAMILY_FINITE:
             self._init_finite(triplet, n)
         else:
@@ -63,20 +74,17 @@ class GenerationLaw:
                              "generation-n mean m_n overflows float64")
 
     def _init_finite(self, t: FiniteTriplet, n: int):
-        M = t.M
-        rows = [t.gamma_vector.copy()]           # gamma M^k, k = 0..n-1
+        d = t.d
+        P, E, Ek = _augmented_power(t, n, np.eye(d + 1))  # A^n, column by column
+        # a column exponent beyond +-2^40 means inf or 0 either way
         with np.errstate(over="ignore"):         # _check_mn rejects overflow
-            for _ in range(n - 1):
-                rows.append(rows[-1] @ M)
-            gks = np.array([r.sum() for r in rows])  # g_k
-            self.m_n = float(t.m * gks.sum())
+            An = np.ldexp(P, Ek + max(-(1 << 40), min(E, 1 << 40)))
+            Sn, self._Mn = An[d, :d], An[:d, :d]
+            self.m_n = float(t.m * Sn.sum())
         self._check_mn()
-        # a g_k that underflowed to 0 carries weight 0
-        self.gamma_n = VectorMeasure(sum(w * (r / g) for w, r, g in
-                                         zip(t.m * gks / self.m_n, rows, gks) if g))
-        self._Mn = np.linalg.matrix_power(M, n)
+        self.gamma_n = VectorMeasure(Sn / Sn.sum())
         frac = self.m_n / (1.0 + self.m_n)
-        self.Kn = self._Mn - frac * np.outer(self._Mn @ np.ones(t.d),
+        self.Kn = self._Mn - frac * np.outer(self._Mn @ np.ones(d),
                                              self.gamma_n.vector)
 
     def _init_exp(self, t: ExpFamilyTriplet, n: int):
@@ -87,11 +95,17 @@ class GenerationLaw:
         self.m_n = t.m * float(raw.sum()) / scale if scale else math.inf
         self._check_mn()
         self._h = h / scale
-        self.gamma_n = MixtureMeasure(
-            raw / raw.sum(),
-            [hypoexp.gamma_chain_law(t.lam, t.mu, r) for r in range(n)])
+        self._weights = raw / raw.sum()
         self._mn_cache: dict[float, MixtureMeasure] = {}
         self._kn_cache: dict[float, MixtureMeasure] = {}
+
+    @cached_property
+    def gamma_n(self) -> MixtureMeasure:
+        """Continuous family: sum_r W_r Q_r/d_r, built on first use (the
+        finite family sets gamma_n at construction)."""
+        t = self.triplet
+        return MixtureMeasure(self._weights, [
+            hypoexp.gamma_chain_law(t.lam, t.mu, r) for r in range(self.n)])
 
     # -- mean kernel power -------------------------------------------------------
 
@@ -120,8 +134,11 @@ class GenerationLaw:
         return self.mean_power(x).mass()
 
     def survival(self, x) -> float:
-        """P_x(Z_n > 0) = M^n(x, E)/(1 + m_n)."""
-        return self.mn_mass(x) / (1.0 + self.m_n)
+        """P_x(Z_n > 0) = M^n(x, E)/(1 + m_n), from ``survival_prob``."""
+        x = self.triplet.validate_point(x)
+        if x not in self._survival:
+            self._survival[x] = survival_prob(self.triplet, x, self.n)
+        return self._survival[x]
 
     # -- K_n ---------------------------------------------------------------------
 
@@ -186,13 +203,23 @@ class GenerationLaw:
         """F_n(x, h) = E_x prod_{i in gen n} h(type_i), h ranging in [0, 1].
 
         ``h`` is a Probe, a callable, or (finite family) a length-d vector.
+        Finite family: F_n = 1 - M^n(x, 1-h)/(1 + m_n gamma_n(1-h)) with 1 - h
+        formed per type, so no sum cancels where K_n(x, h) would (m_n large,
+        h near 1).
         """
+        t = self.triplet
         p = h if isinstance(h, Probe) else Probe("h", h, tuple(breaks))
-        g = p.apply(self.gamma_n)
-        if g > 1.0 + 1e-9:
-            raise AssertionError(f"gamma_n(h) = {g} > 1; h must map into [0,1]")
+        if t.family == FAMILY_FINITE:
+            u = 1.0 - as_finite_vector(p.fn, t.d)
+            gu = float(self.gamma_n.vector @ u)         # gamma_n(1 - h)
+        else:
+            gu = 1.0 - p.apply(self.gamma_n)
+        if gu < -1e-9:
+            raise AssertionError(f"gamma_n(h) = {1.0 - gu} > 1; h must map into [0,1]")
         # 1 + m_n - m_n gamma_n(h) would cancel to 0 once m_n passes 2^53
-        denom = 1.0 + self.m_n * max(0.0, 1.0 - g)
+        denom = 1.0 + self.m_n * max(0.0, gu)
+        if t.family == FAMILY_FINITE:
+            return 1.0 - float(self._Mn[t.validate_point(x)] @ u) / denom
         return 1.0 - self.kn_mass(x) + p.apply(self.kn_measure(x)) / denom
 
     def pmf(self, x, k: int) -> float:
@@ -232,14 +259,9 @@ def survival_prob(triplet: LFTriplet, x, n: int) -> float:
     overflows.
 
     Finite family: the state [M^k 1; sum_{j<k} gamma M^j 1] is advanced by
-    the nonnegative (d+1)-matrix A = [[M, 0], [gamma, 1]]. A^L, L the largest
-    power of two with L d <= n, is built by squaring and applied n // L
-    times, and the remainder by the squares that its bits name. Cost
-    O(d^2 n/L + d^3 log L): plain stepping for n < 2d, binary powering for
-    n >> d. A power is squared only while, scaled to unit row sums, it has
-    no nonzero entry below 2^-500, so that no entry the answer needs
-    underflows. A reducible M with a huge m (K entries near 1 against
-    m = 1e300) can stop L at 1 and step once per generation.
+    the augmented matrix A of ``_augmented_power``. Cost O(d^2 n/L + d^3
+    log L) for the L chosen there: plain stepping for n < 2d, binary
+    powering for n >> d.
 
     Exponential family: M^n(x, E) = c_n e^{-nx} + m sum_i c_i e^{-ix} g_{n-i}
     with g the renewal solution for a = m d and b = d. c stops at its first
@@ -264,7 +286,11 @@ def survival_prob(triplet: LFTriplet, x, n: int) -> float:
         return 1.0
     n = int(n)
     if triplet.family == FAMILY_FINITE:
-        return _finite_survival(triplet, triplet.validate_point(x), n)
+        s = np.ones(triplet.d + 1)
+        s[-1] = 0.0
+        s, E, Ek = _augmented_power(triplet, n, s)
+        return float(s[triplet.validate_point(x)]
+                     / (math.ldexp(1.0, -E - Ek) + triplet.m * s[-1]))
     return _exp_survival(triplet, float(triplet.validate_point(x)), n)
 
 
@@ -273,20 +299,27 @@ def _exp2(v: float) -> int:
     return math.frexp(v)[1]
 
 
-def _pow2_normalized(v: np.ndarray, big: float) -> tuple[np.ndarray, int]:
-    """(v / 2^k, k) with k = _exp2(big): exact unless an entry goes subnormal."""
-    k = _exp2(big)
-    return np.ldexp(v, -k), k
+def _augmented_power(t: FiniteTriplet, n: int, s: np.ndarray):
+    """A^n s for A = [[M, 0], [gamma, 1]], A^n = [[M^n, 0], [S_n, 1]] with
+    S_n = sum_{k<n} gamma M^k, and s a vector or a block of columns.
 
-
-def _finite_survival(t: FiniteTriplet, x: int, n: int) -> float:
+    Returns (S, E, Ek): column j of A^n s is S[:, j] 2^(E + Ek[j]), E a
+    Python int (so is Ek for a vector s). Each column is rescaled by its own
+    power of two after every step, so neither growth nor another column's
+    scale loses its entries.
+    A^L, L the largest power of two with L d <= n c (c columns, L <= n), is
+    built by squaring and applied n // L times, and the squares that the
+    bits of n mod L name do the rest: O(d^3 log L + d^2 c n/L) work. A power
+    scaled to row sums in (2^510, 2^511] is squared only while its unscaled
+    row sums stay below 2^511 (a product that underflows is then below
+    2^-1022 anyway) or its nonzero entries stay above 2^-500 of that scale
+    (no product underflows). A reducible M with a huge m (K entries near 1
+    against m = 1e300) can stop L at 1 and step once per generation.
+    """
     d, K, gam = t.d, t.K, t.gamma_vector
-    top = max(0, (n // d).bit_length() - 1)     # L = 2^top, L d <= n
-    # powers[i] = (A^(2^i) / 2^e, e). A power is squared only if scaling its
-    # row sums into [1/2, 1] leaves every nonzero entry above 2^-500: then no
-    # product term underflows and the square keeps every entry it should.
-    # Otherwise L stops at that power.
-    powers = []
+    cols = 1 if s.ndim == 1 else s.shape[1]
+    top = max(0, min(n, n * cols // d).bit_length() - 1)
+    powers = []                         # powers[i] = (A^(2^i) / 2^e, e)
     if top:
         # A = [[M, 0], [gamma, 1]], M = K + m (K 1) gamma^T built in place
         A = np.zeros((d + 1, d + 1))
@@ -299,29 +332,34 @@ def _finite_survival(t: FiniteTriplet, x: int, n: int) -> float:
         powers = [(A, 0)]
         P, e = A, 0
         for _ in range(top):
-            P, k = _pow2_normalized(P, float(P.sum(axis=1).max()))
-            if P[P > 0].min() < 2.0 ** -500:
+            k = _exp2(float(P.sum(axis=1).max())) - 511
+            P, e = np.ldexp(P, -k), e + k
+            if e > 0 and P[P > 0].min() < 2.0 ** 11:
                 break
-            P, e = P @ P, 2 * (e + k)
+            P, e = P @ P, 2 * e
             powers.append((P, e))
         top = len(powers) - 1
     mk = t.m * t.K_row_mass
     r = n % (1 << top)
-    s = np.ones(d + 1)
-    s[d] = 0.0
-    E = 0                               # the state is s * 2^E
+    E = Ek = 0
     for i in [top] * (n >> top) + [i for i in range(top) if r >> i & 1]:
         if powers:
             P, e = powers[i]
             s = P @ s
         else:
-            # n < 2d: one generation as M w = K w + m (K 1)(gamma w), since
+            # n c < 2d: one generation as M w = K w + m (K 1)(gamma w), since
             # building A costs about 25 steps at d = 500
-            gw = float(gam @ s[:d])
-            s, e = np.append(K @ s[:d] + mk * gw, s[d] + gw), 0
-        s, k = _pow2_normalized(s, float(s.max()))
-        E += e + k
-    return float(s[x] / (math.ldexp(1.0, -E) + t.m * s[d]))
+            gw = gam @ s[:d]
+            s, e = np.concatenate((K @ s[:d] + np.multiply.outer(mk, gw),
+                                   s[d:] + gw)), 0
+        if s.ndim == 1:                 # math.frexp: no numpy scalar per step
+            k = math.frexp(float(s.max()))[1]
+        else:
+            k = np.frexp(s.max(axis=0))[1].astype(np.int64)
+        s = np.ldexp(s, -k)
+        E += e
+        Ek = Ek + k
+    return s, E, Ek
 
 
 def _exp_survival(t: ExpFamilyTriplet, x: float, n: int) -> float:
@@ -430,21 +468,3 @@ def _renewal_blocks(a: np.ndarray, n: int) -> tuple[int, np.ndarray, np.ndarray]
 def gen_functional(triplet: LFTriplet, x, n: int, h, breaks=()) -> float:
     """F_n(x, h) through the evolved triplet's closed form."""
     return evolve(triplet, n).functional(x, h, breaks=breaks)
-
-
-def gen_functional_iterated(triplet: FiniteTriplet, x, n: int, h) -> float:
-    """Independent oracle: iterate the one-step functional n times.
-
-    F_1(x, h) = 1 - K(x, E) + (K h)(x)/(1 + m - m gamma(h)); branching makes
-    F_{a+b} = F_a(., F_b(., h)), so n-fold self-composition of F_1 must equal
-    the closed form. Finite family only (h is a length-d array).
-    """
-    if triplet.family != FAMILY_FINITE:
-        raise ValueError("the iterated oracle is defined for the finite family")
-    K, gam, m = triplet.K, triplet.gamma_vector, triplet.m
-    kmass = K @ np.ones(triplet.d)
-    hv = as_finite_vector(h, triplet.d).astype(float).copy()
-    for _ in range(n):
-        denom = 1.0 + m - m * float(gam @ hv)
-        hv = 1.0 - kmass + (K @ hv) / denom
-    return float(hv[triplet.validate_point(x)])

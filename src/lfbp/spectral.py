@@ -39,7 +39,7 @@ family R_* is infinite and f unbounded. So m f(R) = 1 has a root R < R_*,
 with f'(R) finite, unless f = 0: R-null cannot occur and R-transient means
 degenerate. A root that float64 cannot resolve, |m f(R) - 1| > 64 eps
 max(1, beta) (say m so small that R rounds onto R_*), raises a ValueError
-naming m. Power iteration on M is an independent cross-oracle for 1/R.
+naming m. Power iteration on M (``tests/oracles.py``) cross-checks 1/R.
 """
 
 from __future__ import annotations
@@ -151,6 +151,7 @@ class LifeLengthLaw:
             self._K = triplet.K[np.ix_(self._live, self._live)]
             self._gam = triplet.gamma_vector[self._live]
             self._k1 = self._K.sum(axis=1)
+            self._w = (math.nan, None)      # (s, (I - sK)^{-1} K 1) of the last solve
             if (rho := float(r[self._live].max())) > 0.0:
                 self._R_star = 1.0 / rho
 
@@ -185,8 +186,13 @@ class LifeLengthLaw:
             return _total(_tilted_tails(self.triplet, s)[1:])
         if s >= self._R_star:
             return math.inf
-        w = np.linalg.solve(np.eye(len(self._gam)) - s * self._K, self._k1)
-        return s * float(self._gam @ w)
+        return s * float(self._gam @ self._resolvent_k1(s))
+
+    def _resolvent_k1(self, s: float) -> np.ndarray:
+        """(I - sK)^{-1} K 1 for the last s, which f and f' share."""
+        if self._w[0] != s:
+            self._w = (s, np.linalg.solve(np.eye(len(self._gam)) - s * self._K, self._k1))
+        return self._w[1]
 
     def f_derivative(self, s: float) -> float:
         """f'(s); math.inf when the series for f' diverges at s."""
@@ -200,7 +206,7 @@ class LifeLengthLaw:
         if s >= self._R_star:
             return math.inf
         A = np.eye(len(self._gam)) - s * self._K     # f'(s) = gamma A^{-2} K 1
-        return float(self._gam @ np.linalg.solve(A, np.linalg.solve(A, self._k1)))
+        return float(self._gam @ np.linalg.solve(A, self._resolvent_k1(s)))
 
     def mean(self) -> float:
         """E L = 1 + f(1)."""
@@ -234,37 +240,6 @@ class LifeLengthLaw:
             n *= 2
             d = self.tails(n)
         return self.sample_capped(rng, len(d) - 1, size=size)
-
-
-# ---------------------------------------------------------------------------
-# power iteration (independent Perron-root oracle)
-# ---------------------------------------------------------------------------
-
-def power_iteration(A: np.ndarray, tol: float = 1e-13, max_iter: int = 50000):
-    """Perron root and vector of a nonnegative square matrix.
-
-    Iterates on A + I (positive diagonal removes periodicity) with a positive
-    start and subtracts the shift from the Rayleigh quotient. Returns
-    (rho, vector, residual, iterations).
-    """
-    d = A.shape[0]
-    if d == 0:
-        return 0.0, np.array([]), 0.0, 0
-    B = A + np.eye(d)
-    v = np.full(d, 1.0 / math.sqrt(d))
-    lam = 0.0
-    for it in range(1, max_iter + 1):
-        w = B @ v
-        norm = np.linalg.norm(w)
-        if norm < 1e-300:
-            return 0.0, v, 0.0, it
-        v_new = w / norm
-        lam = float(v_new @ (B @ v_new))
-        resid = float(np.linalg.norm(B @ v_new - lam * v_new))
-        v = v_new
-        if resid <= tol * max(1.0, abs(lam)):
-            return lam - 1.0, v, resid, it
-    return lam - 1.0, v, resid, max_iter
 
 
 # ---------------------------------------------------------------------------

@@ -438,7 +438,7 @@ class _Verifier:
         cond = {p.spec: [] for p in probes}
         for n in self.n_grid:
             law = evolve(t, n)
-            scaled.append(survival_prob(t, x, n) * R ** n)  # rho^-n = R^n
+            scaled.append(law.survival(x) * R ** n)  # rho^-n = R^n
             mns.append(law.m_n)
             for p in probes:  # E[prod h(child types) | Z_n > 0]
                 denom = 1.0 + law.m_n - law.m_n * p.apply(law.gamma_n)

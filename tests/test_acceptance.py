@@ -14,12 +14,12 @@ import pytest
 
 from lfbp import evolution, simulate, stats, streams
 from lfbp.cli import main as cli_main
-from lfbp.evolution import (evolve, gen_functional, gen_functional_iterated,
-                            survival_prob)
-from lfbp.spectral import LifeLengthLaw, classify, eigen_build, eigen_residuals, power_iteration
+from lfbp.evolution import evolve, gen_functional, survival_prob
+from lfbp.spectral import LifeLengthLaw, classify, eigen_build, eigen_residuals
 from lfbp.typespace import make_exp_triplet, make_finite_triplet
 
 from conftest import random_supercritical, random_triplet
+from oracles import gen_functional_iterated, power_iteration
 
 SUB = make_finite_triplet([[0.4]], [1.0], 1.0)
 CRIT = make_finite_triplet([[0.5]], [1.0], 1.0)

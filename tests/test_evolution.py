@@ -8,14 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lfbp import evolution, streams
-from lfbp.evolution import (evolve, gen_functional, gen_functional_iterated,
-                            survival_prob)
+from lfbp import evolution, hypoexp, streams
+from lfbp.evolution import evolve, gen_functional, survival_prob
 from lfbp.recursions import renewal
-from lfbp.stats import chi_square_geometric
+from lfbp.spectral import LifeLengthLaw
+from lfbp.stats import chi_square_geometric, probe
 from lfbp.typespace import make_exp_triplet, make_finite_triplet
 
 from conftest import random_triplet
+from oracles import gen_functional_iterated, generation_law_loop
 
 
 # -- recursion identities --------------------------------------------------------
@@ -111,6 +112,85 @@ def test_generation_one_exp_family(exp_super):
 def test_evolve_rejects_n_zero(scalar_sub):
     with pytest.raises(ValueError):
         evolve(scalar_sub, 0)
+
+
+# -- the augmented-power engine against the generation loop ------------------------
+
+SWEEP_N = (1, 2, 3, 7, 60, 800)      # grid and seed fixed before the first run
+
+
+def _sweep_triplets(seed=2022):
+    """d in {1, 2, 5, 16}, irreducible and (d > 1) upper-triangular K, each at
+    m f(1) = 0.6, 1 and 1.8."""
+    rng = np.random.default_rng(seed)
+    for d in (1, 2, 5, 16):
+        for reducible in (False, True)[: 1 + (d > 1)]:
+            for target in (0.6, 1.0, 1.8):
+                K = rng.random((d, d)) + 0.01
+                if reducible:
+                    K = np.triu(K)
+                K *= rng.uniform(0.05, 0.95, (d, 1)) / K.sum(axis=1, keepdims=True)
+                gamma = rng.random(d) + 0.01
+                gamma /= gamma.sum()
+                f1 = LifeLengthLaw(make_finite_triplet(K, gamma, 1.0)).f_eval(1.0)
+                yield make_finite_triplet(K, gamma, target / f1)
+
+
+def _close(got, want, scale=None, rel=1e-11, floor=1e-300):
+    scale = np.abs(want) if scale is None else scale
+    return bool(np.all(np.abs(got - want) <= rel * scale + floor))
+
+
+def _check_against_loop(t, n):
+    m_n, gamma_n, Mn, Kn = generation_law_loop(t, n)
+    if not math.isfinite(m_n):
+        with pytest.raises(ValueError, match=rf"m = {t.m!r}, n = {n}:"):
+            evolve(t, n)
+        return
+    law = evolve(t, n)
+    assert _close(law.m_n, m_n), (n, law.m_n, m_n)
+    assert _close(law.gamma_n.vector, gamma_n), n
+    frac = m_n / (1.0 + m_n)
+    # both sides form K_n as a difference, so it is held to its terms' size
+    terms = Mn + frac * np.outer(Mn @ np.ones(t.d), gamma_n)
+    assert _close(law.Kn, Kn, scale=terms), n
+    for x in range(t.d):
+        assert _close(law.mean_power(x).vector, Mn[x]), (n, x)
+        s = Mn[x].sum() / (1.0 + m_n)
+        assert _close(law.survival(x), s), (n, x)
+        for spec, h in (("const:0.5", np.full(t.d, 0.5)),
+                        ("tilt:1.0", np.exp(-np.arange(t.d)))):
+            # F_n = 1 - M^n(x, 1-h)/(1 + m_n gamma_n(1-h)), no cancellation
+            want = 1.0 - (Mn[x] @ (1.0 - h)) / (1.0 + m_n * (gamma_n @ (1.0 - h)))
+            assert _close(law.functional(x, probe(spec)), want), (n, x, spec)
+
+
+@pytest.mark.parametrize("t", list(_sweep_triplets()))
+def test_generation_law_matches_the_loop(t):
+    for n in SWEEP_N:
+        _check_against_loop(t, n)
+
+
+@pytest.mark.parametrize("m", [1e160, 1e300])
+def test_generation_law_on_a_reducible_triplet_with_huge_m(m):
+    # K's own entry 0.9 sits 1/m below the restart column; M^n(1, 1) = 0.9^n
+    # and M^n(1, 0) = m 0.9^n are built from it
+    t = make_finite_triplet([[0.0, 0.0], [0.0, 0.9]], [1.0, 0.0], m)
+    for n in SWEEP_N:
+        _check_against_loop(t, n)
+
+
+def test_generation_law_rejects_an_overflowing_mean():
+    t = make_finite_triplet([[0.5, 0.4], [0.4, 0.5]], [0.5, 0.5], 9.0)
+    assert generation_law_loop(t, 800)[0] == math.inf
+    _check_against_loop(t, 800)
+
+
+def test_exp_mean_builds_no_hypoexponential_law():
+    hypoexp.gamma_chain_law.cache_clear()
+    law = evolve(make_exp_triplet(1.2, 0.8, 1.0), 3000)
+    assert math.isfinite(law.m_n)
+    assert hypoexp.gamma_chain_law.cache_info().currsize == 0
 
 
 # -- survival ------------------------------------------------------------------------
@@ -235,6 +315,15 @@ def test_functional_against_iterated_oracle():
         a = gen_functional(t, 0, n, h)
         b = gen_functional_iterated(t, 0, n, h)
         assert abs(a - b) <= 1e-10
+
+
+def test_functional_near_h_one_at_a_huge_mean():
+    # rho = 1.2 and m_n = 3.4e16 at n = 200; K_n(0, h) would cancel here
+    t = make_finite_triplet([[0.6]], [1.0], 1.0)
+    law = evolve(t, 200)
+    assert law.functional(0, [1.0]) == 1.0
+    for h in (0.999999, 0.999, 0.9):
+        assert abs(law.functional(0, [h]) - gen_functional_iterated(t, 0, 200, [h])) <= 1e-13
 
 
 @settings(max_examples=30, deadline=None)

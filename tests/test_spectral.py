@@ -19,10 +19,11 @@ from lfbp import spectral, streams
 from lfbp.evolution import evolve
 from lfbp.spectral import (LifeLengthLaw, NuMeasure, classify, eigen_build,
                            eigen_residuals, hypergeom_phi, pf_limit_check,
-                           power_iteration, solve_R)
+                           solve_R)
 from lfbp.typespace import make_exp_triplet, make_finite_triplet
 
 from conftest import random_supercritical, random_triplet
+from oracles import power_iteration
 
 EXP_R = 0.7626885608503393
 EXP_BETA = 1.288065682551018
